@@ -6,11 +6,17 @@ ReplicatedPEATS`.  Each ``process`` maps to one authenticated
 service), probes resolve through the ``f + 1`` reply vote, and blocking
 reads are the Section 4 polling recipe scheduled on the network's virtual
 clock — all in **simulated milliseconds**.
+
+The sharded backend (:class:`~repro.api.sharded.ShardedSpace`) is this
+class over several groups sharing one network: it inherits the clock,
+driving and snapshot plumbing here and overrides only routing,
+transactions, lock resolution and the set of groups a waiter arms on
+(:meth:`ReplicatedSpace._waiter_groups`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import Any, Callable, Hashable
 
 from repro.errors import ReplicationError
 from repro.futures import OperationFuture
@@ -27,8 +33,6 @@ class ReplicatedSpace(Space):
 
     backend = "replicated"
     time_unit = "simulated ms"
-    default_blocking_timeout = 1_000.0
-    default_poll_interval = 10.0
 
     def __init__(self, service: ReplicatedPEATS) -> None:
         self._service = service
@@ -80,24 +84,63 @@ class ReplicatedSpace(Space):
     # Notification channel (repro.notify)
     # ------------------------------------------------------------------
 
+    def _waiter_groups(self, template: Any) -> tuple[tuple[Any, Any], ...]:
+        """``(shard, group)`` pairs that must hold a waiter for
+        ``template``; a single group is every replica, untagged."""
+        return ((None, self._service),)
+
     def _arm_waiter(self, operation, template, process, wake):
-        """Arm one waiter on every replica of the group; wake on f+1 pushes."""
+        """Arm one waiter per owning replica group (f+1 vote per group)."""
         client = self._service.client(process)
-        waiter = client.arm_waiter(template, operation, wake)
-        return WaiterHandle(
-            waiter.waiter_id,
-            lambda: client.disarm_waiter(waiter.waiter_id),
-            rearm=lambda: client.rearm_waiter(waiter.waiter_id),
-        )
+        waiters = [
+            client.arm_waiter(template, operation, wake, replica_ids=group.replica_ids)
+            for _, group in self._waiter_groups(template)
+        ]
+        if not waiters:
+            return None
+
+        def cancel() -> None:
+            for waiter in waiters:
+                client.disarm_waiter(waiter.waiter_id)
+
+        def rearm() -> None:
+            # Refresh every per-group registration: a wake from shard A
+            # followed by a miss may mean the tuple was consumed by a
+            # transaction leg on shard B, whose registrations are the
+            # stale ones.
+            for waiter in waiters:
+                client.rearm_waiter(waiter.waiter_id)
+
+        return WaiterHandle(waiters[0].waiter_id, cancel, rearm=rearm)
 
     def _register_watch(self, subscription: Subscription, process: Hashable):
+        """Register the watch on every owning group; events are tagged with
+        the pushing group's shard id and merged in network-delivery order
+        (deterministic under the seeded transports)."""
         client = self._service.client(process)
-        waiter = client.arm_waiter(
-            subscription.template,
-            "watch",
-            lambda entry, event: subscription.deliver(entry, event),
-        )
-        return lambda: client.disarm_waiter(waiter.waiter_id)
+        groups = self._waiter_groups(subscription.template)
+        if not groups:
+            raise ReplicationError(
+                f"watch() requires an Entry or Template, "
+                f"got {type(subscription.template).__name__}"
+            )
+        waiters = []
+        for shard, group in groups:
+            def deliver(entry, event, _shard=shard):
+                subscription.deliver(entry, event, shard=_shard)
+
+            waiters.append(
+                client.arm_waiter(
+                    subscription.template, "watch", deliver,
+                    replica_ids=group.replica_ids,
+                )
+            )
+
+        def cancel() -> None:
+            for waiter in waiters:
+                client.disarm_waiter(waiter.waiter_id)
+
+        return cancel
 
     def _stats_extra(self) -> dict:
         return {

@@ -1,7 +1,9 @@
 """The sharded backend of the unified API, with cross-shard scatter-gather.
 
-:class:`ShardedSpace` fronts a :class:`~repro.cluster.service.ShardedPEATS`.
-Concrete-name operations route to the owning replica group exactly like the
+:class:`ShardedSpace` fronts a :class:`~repro.cluster.service.ShardedPEATS`
+as a :class:`~repro.api.replicated.ReplicatedSpace` over several groups on
+one network, inheriting its clock, driving and waiter plumbing.
+Concrete-name operations route to the owning replica group through the
 :class:`~repro.cluster.client.ShardedClient`; what is new — and only
 expressible at this layer, which owns routing, futures and the shared
 error model at once — is the ROADMAP's **scatter-gather** for wildcard-name
@@ -43,10 +45,9 @@ from typing import Any, Callable, Hashable
 
 from repro.errors import ReplicationError
 from repro.futures import OperationFuture
-from repro.api.space import Space
+from repro.api.replicated import ReplicatedSpace
 from repro.cluster.client import ShardedClient
 from repro.cluster.service import ShardedPEATS
-from repro.notify import Subscription, WaiterHandle
 from repro.peo.base import DENIED
 from repro.replication.replica import TXN_LOCKED
 from repro.tuples import Entry, Template
@@ -55,26 +56,18 @@ from repro.tuples.fields import is_defined
 __all__ = ["ShardedSpace"]
 
 
-class ShardedSpace(Space):
+class ShardedSpace(ReplicatedSpace):
     """Unified handle over a sharded cluster of PBFT replica groups."""
 
     backend = "sharded"
-    time_unit = "simulated ms"
-    default_blocking_timeout = 1_000.0
-    default_poll_interval = 10.0
     #: Read-then-take rounds a wildcard ``inp`` attempts before conceding
     #: the race and answering ``None``.
     max_inp_rounds = 8
 
     def __init__(self, service: ShardedPEATS, *, max_inp_rounds: int | None = None) -> None:
-        self._service = service
+        super().__init__(service)
         if max_inp_rounds is not None:
             self.max_inp_rounds = max_inp_rounds
-        # On a real transport (repro.net) the deployment's clock is the
-        # wall clock; label timeouts accordingly (same numeric defaults —
-        # a millisecond is a millisecond on either clock).
-        if not getattr(service.network, "virtual_time", True):
-            self.time_unit = service.network.time_unit
         registry = service.obs.registry
         self._obs_scatter_rounds = registry.counter(
             "cluster_scatter_rounds_total",
@@ -84,14 +77,6 @@ class ShardedSpace(Space):
             "cluster_scatter_probes_total",
             "Individual per-group probes issued by scatter-gather rounds",
         ).labels()
-
-    @property
-    def service(self) -> ShardedPEATS:
-        return self._service
-
-    @property
-    def network(self):
-        return self._service.network
 
     @property
     def n_shards(self) -> int:
@@ -166,20 +151,6 @@ class ShardedSpace(Space):
 
         inner.add_done_callback(on_done)
         return future
-
-    def _drive(self, future: OperationFuture) -> None:
-        self._service.network.run_until(lambda: future.done)
-        if not future.done:  # pragma: no cover - retransmit timers prevent this
-            raise ReplicationError(f"network drained before {future!r} resolved")
-
-    def _now(self) -> float:
-        return self._service.network.now
-
-    def _schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        self._service.network.schedule_after(delay, callback)
-
-    def snapshot(self) -> tuple[Entry, ...]:
-        return self._service.snapshot()
 
     # ------------------------------------------------------------------
     # Transaction-lock resolution (the non-blocking guarantee)
@@ -273,9 +244,8 @@ class ShardedSpace(Space):
     # Notification channel (repro.notify)
     # ------------------------------------------------------------------
 
-    def _waiter_groups(self, template) -> tuple[tuple[int, object], ...]:
-        """The replica groups that must hold a waiter for ``template``:
-        the owning shard for a concrete-name template, every shard for a
+    def _waiter_groups(self, template: Any) -> tuple[tuple[Any, Any], ...]:
+        """The owning shard for a concrete-name template, every shard for a
         wildcard-name one (any shard may receive the matching insert)."""
         if isinstance(template, (Entry, Template)):
             if is_defined(template.fields[0]):
@@ -285,59 +255,6 @@ class ShardedSpace(Space):
         # Malformed template: nothing to arm; the probe path will surface
         # the error through the normal read machinery.
         return ()
-
-    def _arm_waiter(self, operation, template, process, wake):
-        """Arm one waiter per owning replica group (f+1 vote per group)."""
-        client = self._service.client(process)
-        waiters = [
-            client.arm_waiter(template, operation, wake, replica_ids=group.replica_ids)
-            for _, group in self._waiter_groups(template)
-        ]
-        if not waiters:
-            return None
-
-        def cancel() -> None:
-            for waiter in waiters:
-                client.disarm_waiter(waiter.waiter_id)
-
-        def rearm() -> None:
-            # Refresh every per-group registration: a wake from shard A
-            # followed by a miss may mean the tuple was consumed by a
-            # transaction leg on shard B, whose registrations are the
-            # stale ones.
-            for waiter in waiters:
-                client.rearm_waiter(waiter.waiter_id)
-
-        return WaiterHandle(waiters[0].waiter_id, cancel, rearm=rearm)
-
-    def _register_watch(self, subscription: Subscription, process: Hashable):
-        """Register the watch on every owning group; events are tagged with
-        the pushing group's shard id and merged in network-delivery order
-        (deterministic under the seeded transports)."""
-        client = self._service.client(process)
-        groups = self._waiter_groups(subscription.template)
-        if not groups:
-            raise ReplicationError(
-                f"watch() requires an Entry or Template, "
-                f"got {type(subscription.template).__name__}"
-            )
-        waiters = []
-        for shard, group in groups:
-            def deliver(entry, event, _shard=shard):
-                subscription.deliver(entry, event, shard=_shard)
-
-            waiters.append(
-                client.arm_waiter(
-                    subscription.template, "watch", deliver,
-                    replica_ids=group.replica_ids,
-                )
-            )
-
-        def cancel() -> None:
-            for waiter in waiters:
-                client.disarm_waiter(waiter.waiter_id)
-
-        return cancel
 
     def _stats_extra(self) -> dict:
         return {

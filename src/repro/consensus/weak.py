@@ -20,6 +20,7 @@ from typing import Any, Generator, Hashable
 from repro.consensus.base import ConsensusObject, TerminationCondition
 from repro.peo.peats import PEATS
 from repro.policy.library import DECISION, weak_consensus_policy
+from repro.tspace.interface import bound_view
 from repro.tuples import Formal, entry, template
 
 __all__ = ["WeakConsensus"]
@@ -71,16 +72,9 @@ class WeakConsensus(ConsensusObject):
     # ------------------------------------------------------------------
 
     def _cas(self, process: Hashable, value: Any):
-        pattern = template(DECISION, Formal("d"))
-        proposal = entry(DECISION, value)
-        if hasattr(self._space, "cas"):
-            try:
-                return self._space.cas(pattern, proposal, process=process)
-            except TypeError:
-                # Process-bound spaces / replicated clients do not take the
-                # ``process`` keyword — the identity is already bound.
-                return self._space.cas(pattern, proposal)
-        raise TypeError("weak consensus requires a space with a cas operation")
+        return bound_view(self._space, process).cas(
+            template(DECISION, Formal("d")), entry(DECISION, value)
+        )
 
     def decision(self) -> Any:
         """Return the decided value, or ``None`` if no process proposed yet.

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from typing import Any, Collection, Hashable
 
-from repro.coordination.binding import bound_view
 from repro.errors import TerminationError
 from repro.peo.peats import PEATS
 from repro.policy.expressions import Condition
 from repro.policy.invocation import Invocation
 from repro.policy.policy import AccessPolicy
 from repro.policy.rules import Rule
+from repro.tspace.interface import bound_view
 from repro.tuples import ANY, Entry, Formal, Template, entry, matches, template
 
 __all__ = ["barrier_policy", "Barrier"]

@@ -21,10 +21,10 @@ fully-simulated substitute:
   deterministically;
 * :mod:`repro.replication.client` — the client proxy that multicasts
   requests and accepts a result vouched for by ``f + 1`` matching replies;
-* :mod:`repro.replication.service` — :class:`ReplicatedPEATS`, the facade
-  that wires everything together and hands out per-process client views
-  compatible with the local PEATS interface, so every algorithm in the
-  library runs unchanged on top of it.
+* :mod:`repro.replication.service` — :class:`ReplicatedPEATS`, the
+  deployment that wires everything together; ``repro.api.connect(service=
+  ...)`` wraps it in the unified :class:`~repro.api.Space`, so every
+  algorithm in the library runs unchanged on top of it.
 """
 
 from repro.replication.client import PEATSClient, PendingRequest

@@ -33,6 +33,7 @@ from typing import Any, Hashable, Optional, Sequence
 from repro.errors import UniversalConstructionError
 from repro.peo.peats import PEATS
 from repro.policy.library import ANN, SEQ, wait_free_universal_policy
+from repro.tspace.interface import bound_view
 from repro.tuples import ANY, Formal, entry, template
 from repro.universal.object_type import InvocationFactory, ObjectInvocation, ObjectType
 
@@ -97,7 +98,7 @@ class WaitFreeHandle:
 
     def __init__(self, construction: WaitFreeUniversalConstruction, process: Hashable) -> None:
         self._construction = construction
-        self._space = construction.space
+        self._view = bound_view(construction.space, process)
         self._object_type = construction.object_type
         self._process = process
         self._index = construction.index_of(process)
@@ -145,7 +146,7 @@ class WaitFreeHandle:
         self._statistics["invocations"] += 1
 
         # Line 4: announce the invocation.
-        self._out(entry(ANN, self._index, invocation))
+        self._view.out(entry(ANN, self._index, invocation))
 
         reply: Any = None
         attempts = 0
@@ -171,13 +172,13 @@ class WaitFreeHandle:
             self._statistics["helped_replays"] += 1
 
         # Line 22: withdraw the announcement.
-        self._inp(template(ANN, self._index, invocation))
+        self._view.inp(template(ANN, self._index, invocation))
         return reply
 
     def refresh(self) -> Any:
         """Replay operations threaded by others without invoking anything."""
         while True:
-            found = self._rdp(template(SEQ, self._pos + 1, Formal("inv")))
+            found = self._view.rdp(template(SEQ, self._pos + 1, Formal("inv")))
             if found is None:
                 return self._state
             self._pos += 1
@@ -196,7 +197,7 @@ class WaitFreeHandle:
         (policy denial while the position is still empty).
         """
         # Line 8: is the position already occupied?
-        found = self._rdp(template(SEQ, position, Formal("einv")))
+        found = self._view.rdp(template(SEQ, position, Formal("einv")))
         if found is not None:
             return found.fields[2]
 
@@ -204,10 +205,10 @@ class WaitFreeHandle:
         to_thread = invocation
         helping = False
         if self._index != preferred:
-            announced = self._rdp(template(ANN, preferred, Formal("tinv")))
+            announced = self._view.rdp(template(ANN, preferred, Formal("tinv")))
             if announced is not None:
                 announced_invocation = announced.fields[2]
-                already_threaded = self._rdp(template(SEQ, ANY, announced_invocation))
+                already_threaded = self._view.rdp(template(SEQ, ANY, announced_invocation))
                 if already_threaded is None:
                     # Lines 9–12: the preferred process needs help.
                     to_thread = announced_invocation
@@ -215,7 +216,7 @@ class WaitFreeHandle:
 
         # Lines 16–18: try to thread ``to_thread`` at ``position``.
         self._statistics["cas_attempts"] += 1
-        inserted, existing = self._cas(
+        inserted, existing = self._view.cas(
             template(SEQ, position, Formal("einv")),
             entry(SEQ, position, to_thread),
         )
@@ -228,36 +229,8 @@ class WaitFreeHandle:
             return existing.fields[2]
         # Denied: check once more whether someone filled the position in the
         # meantime; otherwise report "unknown" so the caller retries.
-        found = self._rdp(template(SEQ, position, Formal("einv")))
+        found = self._view.rdp(template(SEQ, position, Formal("einv")))
         return None if found is None else found.fields[2]
-
-    # ------------------------------------------------------------------
-    # Space helpers
-    # ------------------------------------------------------------------
-
-    def _out(self, new_entry):
-        try:
-            return self._space.out(new_entry, process=self._process)
-        except TypeError:
-            return self._space.out(new_entry)
-
-    def _rdp(self, pattern):
-        try:
-            return self._space.rdp(pattern, process=self._process)
-        except TypeError:
-            return self._space.rdp(pattern)
-
-    def _inp(self, pattern):
-        try:
-            return self._space.inp(pattern, process=self._process)
-        except TypeError:
-            return self._space.inp(pattern)
-
-    def _cas(self, pattern, new_entry):
-        try:
-            return self._space.cas(pattern, new_entry, process=self._process)
-        except TypeError:
-            return self._space.cas(pattern, new_entry)
 
     def __repr__(self) -> str:
         return (
