@@ -59,10 +59,18 @@ class ReplicatedSpace(Space):
     ) -> OperationFuture:
         return self._service.client(process).submit(operation, tuple(arguments))
 
-    def _submit_txn(self, legs: tuple, process: Hashable) -> OperationFuture:
+    def _submit_txn(
+        self, legs: tuple, process: Hashable, replica_ids: tuple | None = None
+    ) -> OperationFuture:
         """One group holds every leg, so one ordered ``txn_exec`` request
-        is the whole commit: the PBFT instance is the atomicity."""
-        return self._service.client(process).submit("txn_exec", (legs,))
+        is the whole commit: the PBFT instance is the atomicity.
+        ``replica_ids`` names that group on a sharded deployment."""
+        client = self._service.client(process)
+        return self._resolving(
+            "txn_exec",
+            lambda: client.submit("txn_exec", (legs,), replica_ids=replica_ids),
+            process,
+        )
 
     def _drive(self, future: OperationFuture) -> None:
         self._service.network.run_until(lambda: future.done)

@@ -118,18 +118,10 @@ class ShardedSpace(ReplicatedSpace):
 
         plan = plan_legs(self._service.shard_map, legs)
         if len(plan) == 1:
-            # Every leg lives on one shard: its PBFT instance alone is the
-            # atomicity — one ordered txn_exec, no coordinator protocol.
+            # Every leg lives on one shard: the single-group commit, no
+            # coordinator protocol.
             (shard,) = plan
-            client = self._service.client(process)
-            group = self._service.group(shard)
-            return self._resolving(
-                "txn_exec",
-                lambda: client.submit(
-                    "txn_exec", (legs,), replica_ids=group.replica_ids
-                ),
-                process,
-            )
+            return super()._submit_txn(legs, process, self._service.group(shard).replica_ids)
         return CrossShardTxn(self, process, legs).future
 
     def _cas_via_txn(self, legs: tuple, process: Hashable) -> OperationFuture:

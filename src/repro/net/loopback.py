@@ -5,9 +5,10 @@ ladder after the simulation: the same nodes, handlers, MAC-authenticated
 envelopes and timer semantics as
 :class:`~repro.replication.network.SimulatedNetwork`, but driven by real
 asyncio event loops on real threads with wall-clock time.  Payloads stay
-in memory (no serialisation), which makes this transport the calibration
-instrument for the simulation's per-message ``processing_time`` model:
-the loopback measures what one reactor can actually sustain, and
+in memory (serialised only to be MAC'd, once per send or broadcast),
+which makes this transport the calibration instrument for the
+simulation's per-message ``processing_time`` model: the loopback
+measures what one reactor can actually sustain, and
 ``benchmarks/bench_net_calibration.py`` fits the sim's knob to it.
 
 Deliveries hop onto the *receiver's* reactor, so a node's handler runs
@@ -45,10 +46,13 @@ class AsyncioLoopbackTransport(RealTransport):
             obs=obs,
         )
 
-    def _dispatch(self, sender: Hashable, receiver: Hashable, payload: Any, mac: str) -> None:
-        # The payload crosses threads by reference; the MAC is verified on
-        # the receiving reactor so the authentication cost lands on the
+    def _dispatch(
+        self, sender: Hashable, receiver: Hashable, payload: Any, mac: str, data: bytes
+    ) -> None:
+        # The payload crosses threads by reference, next to the bytes the
+        # sender MAC'd; the MAC is verified over those bytes on the
+        # receiving reactor, so the authentication cost lands on the
         # receiver, mirroring the simulation's processing model.
         self.reactor_of(receiver).call_soon(
-            lambda: self._handle_delivery(sender, receiver, payload, mac)
+            lambda: self._handle_delivery(sender, receiver, payload, mac, data)
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import struct
-from typing import Any, Callable, Hashable, Mapping, Optional
+from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
 
 from repro.errors import SimulationError
 from repro.net import codec
@@ -169,7 +169,9 @@ class TcpTransport(RealTransport):
             # misrouted or forged; never hand it to the handler.
             self._count("dropped")
             return
-        if not self._authenticator.verify(sender, receiver, payload_bytes, mac):
+        if not self._authenticator.verify(
+            sender, receiver, payload_bytes, mac, data=payload_bytes
+        ):
             self._count("rejected")
             return
         try:
@@ -206,8 +208,24 @@ class TcpTransport(RealTransport):
             return
         if not self.has_node(receiver):
             raise SimulationError(f"unknown receiver {receiver!r}")
+        self._send_bytes(sender, receiver, codec.encode_payload(payload))
+
+    def broadcast(self, sender: Hashable, receivers: Iterable[Hashable], payload: Any) -> None:
+        """Encode the payload once; each receiver gets its own MAC'd frame."""
+        if self._closed:
+            return
         payload_bytes = codec.encode_payload(payload)
-        mac = self._authenticator.mac(sender, receiver, payload_bytes)
+        for receiver in receivers:
+            if receiver != sender:
+                if not self.has_node(receiver):
+                    raise SimulationError(f"unknown receiver {receiver!r}")
+                self._send_bytes(sender, receiver, payload_bytes)
+
+    def _send_bytes(self, sender: Hashable, receiver: Hashable, payload_bytes: bytes) -> None:
+        # The MAC covers the encoded payload bytes as they are: the
+        # receiver verifies the very bytes it reads off the socket, so
+        # nothing is serialised a second time on either side.
+        mac = self._authenticator.mac(sender, receiver, payload_bytes, data=payload_bytes)
         frame = codec.encode_frame(sender, receiver, payload_bytes, mac)
         with self._lock:
             self._frames_sent += 1
@@ -217,7 +235,9 @@ class TcpTransport(RealTransport):
         reactor = self.reactor_of(sender if sender in self._handlers else receiver)
         reactor.call_soon(lambda: self._enqueue(reactor, receiver, frame))
 
-    def _dispatch(self, sender: Hashable, receiver: Hashable, payload: Any, mac: str) -> None:
+    def _dispatch(
+        self, sender: Hashable, receiver: Hashable, payload: Any, mac: str, data: bytes
+    ) -> None:
         raise AssertionError("TcpTransport.send never delegates to _dispatch")  # pragma: no cover
 
     def _enqueue(self, reactor: Reactor, receiver: Hashable, frame: bytes) -> None:

@@ -25,8 +25,9 @@ give every replica group its own loop, HMAC authentication identical to
 the simulated network's, wall-clock timers (:class:`NetTimer`), and
 blocking ``run_until``/``run_for`` that *wait* for the background
 reactors instead of pumping a queue.  Subclasses only provide
-:meth:`RealTransport._dispatch` (how an authenticated payload reaches
-the receiving node) plus optional attach/detach hooks.
+:meth:`RealTransport._dispatch` (how an authenticated payload, with the
+bytes its MAC covers, reaches the receiving node) plus optional
+attach/detach hooks.
 
 Threading model
 ---------------
@@ -50,7 +51,7 @@ from typing import Any, Callable, Hashable, Iterable, Optional, Protocol, runtim
 
 from repro.errors import SimulationError
 from repro.obs import NULL_OBS
-from repro.replication.crypto import KeyStore, MessageAuthenticator
+from repro.replication.crypto import KeyStore, MessageAuthenticator, canonical_bytes
 
 __all__ = ["Transport", "NetTimer", "Reactor", "RealTransport"]
 
@@ -411,33 +412,45 @@ class RealTransport:
     # Sending
     # ------------------------------------------------------------------
 
-    def send(self, sender: Hashable, receiver: Hashable, payload: Any) -> None:
+    def send(
+        self, sender: Hashable, receiver: Hashable, payload: Any, *, data: bytes | None = None
+    ) -> None:
         """Authenticate and dispatch ``payload`` towards ``receiver``.
 
         Mirrors the simulated network's surface: unknown receivers raise,
         the payload travels with an HMAC under the sender↔receiver shared
         key, and verification happens on the receiving side before the
-        handler sees the message.
+        handler sees the message.  ``data`` is ``canonical_bytes(payload)``
+        when the caller already has it (:meth:`broadcast` serialises once
+        for every receiver); the MAC'd bytes travel with the payload and
+        are what the receiver verifies.
         """
         if self._closed:
             return
         if not self.has_node(receiver):
             raise SimulationError(f"unknown receiver {receiver!r}")
-        mac = self._authenticator.mac(sender, receiver, payload)
+        if data is None:
+            data = canonical_bytes(payload)
+        mac = self._authenticator.mac(sender, receiver, payload, data=data)
         with self._lock:
             self._frames_sent += 1
             self._obs_frames_sent.inc()
-        self._dispatch(sender, receiver, payload, mac)
+        self._dispatch(sender, receiver, payload, mac, data)
 
     def broadcast(self, sender: Hashable, receivers: Iterable[Hashable], payload: Any) -> None:
+        data = canonical_bytes(payload)
         for receiver in receivers:
             if receiver != sender:
-                self.send(sender, receiver, payload)
+                self.send(sender, receiver, payload, data=data)
 
-    def _dispatch(self, sender: Hashable, receiver: Hashable, payload: Any, mac: str) -> None:
+    def _dispatch(
+        self, sender: Hashable, receiver: Hashable, payload: Any, mac: str, data: bytes
+    ) -> None:
         raise NotImplementedError
 
-    def _handle_delivery(self, sender: Hashable, receiver: Hashable, payload: Any, mac: str) -> None:
+    def _handle_delivery(
+        self, sender: Hashable, receiver: Hashable, payload: Any, mac: str, data: bytes
+    ) -> None:
         """Verify and deliver on the receiver's reactor (call it there)."""
         handler = self._handlers.get(receiver)
         if handler is None:
@@ -445,7 +458,7 @@ class RealTransport:
                 self._dropped += 1
                 self._obs_frames_dropped.inc()
             return
-        if not self._authenticator.verify(sender, receiver, payload, mac):
+        if not self._authenticator.verify(sender, receiver, payload, mac, data=data):
             with self._lock:
                 self._rejected += 1
                 self._obs_mac_rejects.inc()

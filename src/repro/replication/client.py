@@ -17,8 +17,8 @@ time — exactly what a real client's retransmission timer achieves.  Many
 requests from many clients can therefore be in flight concurrently, which
 is what the :mod:`repro.sim` scenario engine builds on.
 
-The synchronous :meth:`PEATSClient.invoke` is a thin wrapper: submit, then
-pump the network until the request completes.
+Synchronous calls belong to :mod:`repro.api`: a ``Space`` submits, then
+drives the transport until the request completes.
 
 Like PBFT, the replicas' retransmission cache keeps only the *last* reply
 per client, so each client identity must have at most one request
@@ -575,21 +575,3 @@ class PEATSClient:
             self._retransmit_delay(0), lambda: self._retransmit(request.key)
         )
         return pending
-
-    # ------------------------------------------------------------------
-    # Synchronous request execution
-    # ------------------------------------------------------------------
-
-    def invoke(self, operation: str, arguments: tuple) -> Any:
-        """Execute ``operation(*arguments)`` on the replicated PEATS.
-
-        Submits the request and pumps the network until the reply vote
-        succeeds.  Returns the deserialised result payload produced by
-        :class:`~repro.replication.replica.PEATSReplica` (an ``("OK", value)``
-        or ``(DENIED, reason)`` pair).
-        """
-        pending = self.submit(operation, arguments)
-        self.network.run_until(lambda: pending.done)
-        if not pending.done:  # pragma: no cover - retransmit timer prevents this
-            self._fail(pending, QuorumError(f"network drained before {pending.key} resolved"))
-        return pending.result()

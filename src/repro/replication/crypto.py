@@ -5,12 +5,17 @@ the deployment of Section 4 this is obtained with authenticated channels
 ("standard technologies like IPSec or SSL").  We model the same guarantee
 with pairwise shared keys and HMAC-SHA256 message authentication codes:
 
-* the :class:`KeyStore` is the trusted key-distribution step (performed
-  once, before the system starts);
+* the :class:`KeyStore` is the trusted key-distribution step: each
+  pairwise key is derived once, on first use, and kept;
 * every message carries a MAC computed over a canonical serialisation of
   its content under the key shared by sender and receiver;
 * a receiver drops (and counts) messages whose MAC does not verify, so a
   Byzantine node can only ever speak under its own identity.
+
+A message is serialised once per send or broadcast.  The transports pass
+those bytes (``data=``) to the MAC of every link, and carry them with the
+message to the receiver's :meth:`MessageAuthenticator.verify`, instead
+of pickling the payload again for each link and each check.
 """
 
 from __future__ import annotations
@@ -65,12 +70,22 @@ class KeyStore:
 
     def __init__(self, master_secret: bytes = b"repro-peats-master-secret") -> None:
         self._master_secret = master_secret
+        self._keys: dict[tuple[Hashable, Hashable], bytes] = {}
 
     def shared_key(self, a: Hashable, b: Hashable) -> bytes:
         """The symmetric key shared by principals ``a`` and ``b``."""
-        first, second = sorted((repr(a), repr(b)))
-        material = f"{first}|{second}".encode()
-        return hmac.new(self._master_secret, material, hashlib.sha256).digest()
+        key = self._keys.get((a, b))
+        if key is None:
+            first, second = sorted((repr(a), repr(b)))
+            material = f"{first}|{second}".encode()
+            key = hmac.digest(self._master_secret, material, "sha256")
+            # Reactor threads may race here; the loser re-derives and
+            # stores the same key, so no lock is needed.
+            # repro-lint: disable=RL006 — at most one entry per principal
+            # pair (each stored under both orders), bounded by the set of
+            # identities that ever exchange a message.
+            self._keys[(a, b)] = self._keys[(b, a)] = key
+        return key
 
 
 class MessageAuthenticator:
@@ -85,21 +100,43 @@ class MessageAuthenticator:
         """Messages that failed verification since construction."""
         return self._rejected
 
-    def mac(self, sender: Hashable, receiver: Hashable, payload: Any) -> str:
-        """MAC of ``payload`` under the sender/receiver shared key."""
-        key = self._keystore.shared_key(sender, receiver)
-        # Canonical bytes, not a plain pickle: the receiver recomputes the
-        # MAC over its own decoded copy of the payload, whose object graph
-        # need not share sub-objects the way the sender's did.
-        return hmac.new(key, canonical_bytes(payload), hashlib.sha256).hexdigest()
+    def mac(
+        self, sender: Hashable, receiver: Hashable, payload: Any, *, data: bytes | None = None
+    ) -> str:
+        """MAC of ``payload`` under the sender/receiver shared key.
 
-    def verify(self, sender: Hashable, receiver: Hashable, payload: Any, tag: str) -> bool:
-        """Constant-time verification of a received MAC."""
-        expected = self.mac(sender, receiver, payload)
+        The tag covers ``data``, by default ``canonical_bytes(payload)``.
+        Callers that authenticate one message on several links serialise
+        it once and pass the bytes; a transport whose wire format is
+        already bytes passes those.
+        """
+        return self._tag(sender, receiver, payload, data)
+
+    def verify(
+        self,
+        sender: Hashable,
+        receiver: Hashable,
+        payload: Any,
+        tag: str,
+        *,
+        data: bytes | None = None,
+    ) -> bool:
+        """Constant-time verification of a received MAC (``data`` as in
+        :meth:`mac`: the bytes the sender authenticated, when known)."""
+        expected = self._tag(sender, receiver, payload, data)
         valid = hmac.compare_digest(expected, tag)
         if not valid:
             self._rejected += 1
         return valid
+
+    def _tag(self, sender: Hashable, receiver: Hashable, payload: Any, data: bytes | None) -> str:
+        if data is None:
+            # Canonical bytes, not a plain pickle: a receiver that
+            # recomputes the MAC over its own decoded copy of the payload
+            # sees an object graph that need not share sub-objects the way
+            # the sender's did.
+            data = canonical_bytes(payload)
+        return hmac.digest(self._keystore.shared_key(sender, receiver), data, "sha256").hex()
 
     def require_valid(self, sender: Hashable, receiver: Hashable, payload: Any, tag: str) -> None:
         """Raise :class:`AuthenticationError` when the MAC does not verify."""

@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Hashable, Mapping
 
+from repro.replication.crypto import canonical_bytes
+
 __all__ = [
     "ClientRequest",
     "ClientReply",
@@ -96,11 +98,13 @@ def authenticate_request(request: "ClientRequest", authenticator: Any, replica_i
     network's :class:`~repro.replication.crypto.MessageAuthenticator`); the
     client computes one MAC per replica of the owning group, under the key
     it shares with that replica, so each backup can verify its own entry
-    even when the request arrives relayed by the primary.
+    even when the request arrives relayed by the primary.  The content is
+    serialised once for the whole vector.
     """
     payload = request_auth_payload(request)
+    data = canonical_bytes(payload)
     auth = tuple(
-        (replica_id, authenticator.mac(request.client, replica_id, payload))
+        (replica_id, authenticator.mac(request.client, replica_id, payload, data=data))
         for replica_id in replica_ids
     )
     return dataclasses.replace(request, auth=auth)

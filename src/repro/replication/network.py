@@ -43,7 +43,7 @@ from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.obs.flight import NULL_FLIGHT
-from repro.replication.crypto import KeyStore, MessageAuthenticator
+from repro.replication.crypto import KeyStore, MessageAuthenticator, canonical_bytes
 
 __all__ = ["NetworkConfig", "Envelope", "Timer", "SimulatedNetwork"]
 
@@ -71,12 +71,18 @@ class NetworkConfig:
 
 @dataclasses.dataclass(frozen=True)
 class Envelope:
-    """An authenticated message in flight."""
+    """An authenticated message in flight.
+
+    ``data`` is ``canonical_bytes(payload)``: the bytes the MAC covers,
+    i.e. what a real wire would carry, so delivery verifies them without
+    serialising the payload again.
+    """
 
     sender: Hashable
     receiver: Hashable
     payload: Any
     mac: str
+    data: bytes
 
 
 class Timer:
@@ -199,8 +205,14 @@ class SimulatedNetwork:
         """Current simulated time (milliseconds)."""
         return self._now
 
-    def send(self, sender: Hashable, receiver: Hashable, payload: Any) -> None:
-        """Schedule the authenticated delivery of ``payload``."""
+    def send(
+        self, sender: Hashable, receiver: Hashable, payload: Any, *, data: bytes | None = None
+    ) -> None:
+        """Schedule the authenticated delivery of ``payload``.
+
+        ``data`` is ``canonical_bytes(payload)`` when the caller already
+        has it (:meth:`broadcast` serialises once for every receiver).
+        """
         if receiver not in self._handlers:
             raise SimulationError(f"unknown receiver {receiver!r}")
         if frozenset((sender, receiver)) in self._partitioned:
@@ -227,9 +239,14 @@ class SimulatedNetwork:
                     type=type(payload).__name__,
                 )
             return
-        mac = self._authenticator.mac(sender, receiver, payload)
+        if data is None:
+            data = canonical_bytes(payload)
+        mac = self._authenticator.mac(sender, receiver, payload, data=data)
         if sender in self._in_flight_tamper:
+            # The forged payload travels as its own bytes under the
+            # original tag, so the receiver's check fails.
             payload = self._in_flight_tamper[sender](payload)
+            data = canonical_bytes(payload)
         latency = self._config.mean_latency + self._rng.uniform(0, self._config.jitter)
         deliver_at = self._now + max(latency, 0.001)
         if self._config.processing_time > 0:
@@ -243,14 +260,15 @@ class SimulatedNetwork:
             # repro-lint: disable=RL006 — keyed by receiver node id, so at
             # most one float per registered network identity.
             self._busy_until[receiver] = deliver_at
-        envelope = Envelope(sender=sender, receiver=receiver, payload=payload, mac=mac)
+        envelope = Envelope(sender=sender, receiver=receiver, payload=payload, mac=mac, data=data)
         heapq.heappush(self._queue, (deliver_at, next(self._sequence), envelope))
 
     def broadcast(self, sender: Hashable, receivers: Iterable[Hashable], payload: Any) -> None:
         """Send ``payload`` to every receiver (independent deliveries)."""
+        data = canonical_bytes(payload)
         for receiver in receivers:
             if receiver != sender:
-                self.send(sender, receiver, payload)
+                self.send(sender, receiver, payload, data=data)
 
     # ------------------------------------------------------------------
     # Timers
@@ -299,7 +317,7 @@ class SimulatedNetwork:
             self._dropped += 1
             return True
         if not self._authenticator.verify(
-            envelope.sender, envelope.receiver, envelope.payload, envelope.mac
+            envelope.sender, envelope.receiver, envelope.payload, envelope.mac, data=envelope.data
         ):
             self._rejected += 1
             if self._flight.enabled:

@@ -1,9 +1,15 @@
 """Tests for the authenticated channels and the discrete-event network."""
 
+import hashlib
+import hmac
+import sys
+import threading
+
 import pytest
 
 from repro.errors import AuthenticationError, SimulationError
-from repro.replication.crypto import KeyStore, MessageAuthenticator, digest
+from repro.net.loopback import AsyncioLoopbackTransport
+from repro.replication.crypto import KeyStore, MessageAuthenticator, canonical_bytes, digest
 from repro.replication.network import NetworkConfig, SimulatedNetwork
 
 
@@ -16,6 +22,60 @@ class TestCrypto:
         keystore = KeyStore()
         assert keystore.shared_key("a", "b") == keystore.shared_key("b", "a")
         assert keystore.shared_key("a", "b") != keystore.shared_key("a", "c")
+
+    def test_cached_key_equals_a_fresh_derivation_in_either_order(self):
+        master = b"test-master"
+        keystore = KeyStore(master)
+        fresh = hmac.new(master, b"'client-1'|'replica-0'", hashlib.sha256).digest()
+        assert keystore.shared_key("replica-0", "client-1") == fresh
+        assert keystore.shared_key("client-1", "replica-0") == fresh
+        assert keystore.shared_key("replica-0", "client-1") == fresh
+        assert KeyStore(master).shared_key("client-1", "replica-0") == fresh
+
+    def test_key_cache_is_consistent_under_concurrent_first_use(self):
+        keystore = KeyStore()
+        pairs = [(f"client-{i}", f"replica-{j}") for i in range(20) for j in range(4)]
+        expected = {pair: KeyStore().shared_key(*pair) for pair in pairs}
+        mismatches = []
+
+        def worker(reverse):
+            for a, b in pairs:
+                key = keystore.shared_key(b, a) if reverse else keystore.shared_key(a, b)
+                if key != expected[(a, b)]:
+                    mismatches.append((a, b))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i % 2,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    def test_mac_is_hmac_sha256_over_canonical_bytes(self):
+        keystore = KeyStore()
+        authenticator = MessageAuthenticator(keystore)
+        payload = {"op": "out", "args": ("JOB", 1)}
+        data = canonical_bytes(payload)
+        expected = hmac.new(keystore.shared_key("a", "b"), data, hashlib.sha256).hexdigest()
+        assert authenticator.mac("a", "b", payload) == expected
+        assert authenticator.mac("a", "b", payload, data=data) == expected
+        assert authenticator.verify("a", "b", payload, expected, data=data)
+        # Tags are pinned: keys and MAC inputs are part of the wire format.
+        assert authenticator.mac("a", "b", {"op": "out"}) == (
+            "a2d4d94973781b5f7e01a799bf3b48bc0fe28ee8129713a357b504d226bef24a"
+        )
+
+    def test_verify_checks_the_supplied_bytes(self):
+        authenticator = MessageAuthenticator(KeyStore())
+        tag = authenticator.mac("a", "b", "original")
+        assert not authenticator.verify("a", "b", "original", tag, data=canonical_bytes("forged"))
+        assert authenticator.rejected_count == 1
 
     def test_mac_verification(self):
         authenticator = MessageAuthenticator(KeyStore())
@@ -120,6 +180,16 @@ class TestNetwork:
         network.run()
         assert inboxes["b"] == [("a", "clean")]
 
+    def test_tampered_broadcast_is_rejected_at_every_receiver(self):
+        network, inboxes = self.make_network()
+        network.set_tampering("a", lambda payload: ("forged", payload))
+        network.broadcast("a", ("a", "b", "c"), "original")
+        network.run()
+        assert inboxes == {"a": [], "b": [], "c": []}
+        assert network.statistics["rejected"] == 2
+        assert network.statistics["delivered"] == 0
+        assert network.authenticator.rejected_count == 2
+
     def test_run_until_condition(self):
         network, inboxes = self.make_network()
         network.send("a", "b", "x")
@@ -143,3 +213,32 @@ class TestNetwork:
         network2.send("a", "b", "ping")
         with pytest.raises(SimulationError):
             network2.run(max_events=100)
+
+
+class _ForgingLoopback(AsyncioLoopbackTransport):
+    """A loopback whose links corrupt each tag or payload after signing."""
+
+    forge = "tag"
+
+    def _dispatch(self, sender, receiver, payload, mac, data):
+        if self.forge == "tag":
+            mac = mac[::-1]
+        else:
+            payload = ("forged", payload)
+            data = canonical_bytes(payload)
+        super()._dispatch(sender, receiver, payload, mac, data)
+
+
+@pytest.mark.parametrize("forge", ["tag", "payload"])
+def test_loopback_rejects_mismatched_tags_over_the_sent_bytes(forge):
+    with _ForgingLoopback() as net:
+        net.forge = forge
+        received = []
+        for node in ("a", "b", "c"):
+            net.register(node, lambda sender, payload: received.append(payload))
+        net.send("a", "b", "solo")
+        net.broadcast("a", ("a", "b", "c"), "to-all")
+        assert net.run_until(lambda: net.statistics["rejected"] == 3, timeout=5_000.0)
+        assert received == []
+        assert net.statistics["delivered"] == 0
+        assert net.authenticator.rejected_count == 3

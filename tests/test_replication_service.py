@@ -146,8 +146,10 @@ class TestByzantineReplicas:
         )
         client = service.client("c1")
         client._max_retransmissions = 2
+        pending = client.submit("out", (entry("A", 1),))
+        service.network.run_until(lambda: pending.done)
         with pytest.raises(QuorumError):
-            client.invoke("out", (entry("A", 1),))
+            pending.result()
 
 
 class TestViewChangeSequenceHoles:

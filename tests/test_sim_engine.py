@@ -113,10 +113,12 @@ class TestPendingRequests:
         with pytest.raises(QuorumError):
             pending.result()
 
-    def test_synchronous_invoke_still_works_on_top_of_submit(self):
+    def test_submit_then_run_until_resolves_the_reply_vote(self):
         service = ReplicatedPEATS(open_sim_policy(), f=1)
         client = service.client("c1")
-        assert client.invoke("out", (entry("A", 1),)) == ("OK", True)
+        pending = client.submit("out", (entry("A", 1),))
+        assert service.network.run_until(lambda: pending.done)
+        assert pending.result() == ("OK", True)
         assert not client.pending_requests
 
 
