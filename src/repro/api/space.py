@@ -772,8 +772,10 @@ class Space(TupleSpaceInterface):
 
         Always contains ``backend`` and ``time_unit``; adds ``network``
         (the transport's counter dict, with ``handler_errors`` defaulted
-        so the key exists on every transport), ``metrics``/``tracing``
-        when an observability bundle is attached, and whatever the
+        so the key exists on every transport), ``metrics``/``tracing``/
+        ``flight``/``health`` (registry snapshot, tracer and flight-ring
+        occupancy, one health evaluation) when an observability bundle is
+        attached, ``txn`` (transaction outcomes), and whatever the
         backend's :meth:`_stats_extra` contributes (tuple counts, per-node
         ordering progress, per-shard statistics).
         """

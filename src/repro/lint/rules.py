@@ -156,17 +156,17 @@ class DeterminismPurity(Rule):
             )
 
 
-_TRACE_HELPER_RE = re.compile(r"_trace\w*\Z")
-_FLIGHT_HELPER_RE = re.compile(r"_flight\w*\Z")
+_HELPER_RE = re.compile(r"_(trace|flight)\w*\Z")
 
 
 @register
 class GuardedTracer(Rule):
-    """RL002 — every tracer/flight hot-path call sits behind ``.enabled``.
+    """RL002 — every event-recording call sits behind ``.enabled``.
 
-    The PR 6 convention, extended to the flight recorder: both
-    ``tracer.record(...)`` and ``flight.record(...)`` (and the
-    ``self._trace_*`` / ``self._flight_*`` batch helpers) are only
+    Components record each event once, through ``obs.record(...)``; the
+    rule also covers the instruments underneath it,
+    ``tracer.record(...)`` and ``flight.record(...)``, and the
+    ``self._trace_*`` / ``self._flight_*`` batch helpers.  Each is only
     reached under ``if <instrument>.enabled:`` so the
     disabled-observability hot path costs one attribute read, and the
     null instruments are never asked to assemble per-event state.  An
@@ -176,7 +176,10 @@ class GuardedTracer(Rule):
 
     id = "RL002"
     name = "guarded-tracer"
-    summary = "tracer/flight record() and _trace_*/_flight_* helpers must be behind an .enabled guard"
+    summary = (
+        "obs/tracer/flight record() and _trace_*/_flight_* helpers must be "
+        "behind an .enabled guard"
+    )
     scope = ("repro",)
 
     def check_module(self, module: ModuleInfo) -> Iterable[Violation]:
@@ -186,21 +189,21 @@ class GuardedTracer(Rule):
             func = node.func
             if not isinstance(func, ast.Attribute):
                 continue
-            is_trace_record = func.attr == "record" and _mentions_tracer(func.value)
-            is_flight_record = func.attr == "record" and _mentions_flight(func.value)
+            is_obs_record = func.attr == "record" and _names_obs(func.value)
+            is_trace_record = func.attr == "record" and _mentions(func.value, "tracer")
+            is_flight_record = func.attr == "record" and _mentions(func.value, "flight")
             is_helper_call = (
-                (
-                    _TRACE_HELPER_RE.fullmatch(func.attr) is not None
-                    or _FLIGHT_HELPER_RE.fullmatch(func.attr) is not None
-                )
+                _HELPER_RE.fullmatch(func.attr) is not None
                 and isinstance(func.value, ast.Name)
                 and func.value.id == "self"
             )
-            if not (is_trace_record or is_flight_record or is_helper_call):
+            if not (is_obs_record or is_trace_record or is_flight_record or is_helper_call):
                 continue
             if self._exempt_or_guarded(module, node):
                 continue
-            if is_trace_record:
+            if is_obs_record:
+                what = "obs.record()"
+            elif is_trace_record:
                 what = "tracer.record()"
             elif is_flight_record:
                 what = "flight.record()"
@@ -221,9 +224,7 @@ class GuardedTracer(Rule):
             if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 # Inside a ``_trace*`` / ``_flight*`` helper the guard
                 # lives at the helper's call sites (checked instead).
-                if _TRACE_HELPER_RE.fullmatch(ancestor.name) or _FLIGHT_HELPER_RE.fullmatch(
-                    ancestor.name
-                ):
+                if _HELPER_RE.fullmatch(ancestor.name):
                     return True
             if isinstance(ancestor, ast.If) and child in ancestor.body:
                 for sub in ast.walk(ancestor.test):
@@ -233,26 +234,21 @@ class GuardedTracer(Rule):
         return False
 
 
-def _mentions_tracer(receiver: ast.AST) -> bool:
-    """True when the receiver expression names a tracer (``self._tracer``,
-    ``tracer``, ``obs.tracer`` ...)."""
-    for node in ast.walk(receiver):
-        if isinstance(node, ast.Name) and "tracer" in node.id.lower():
-            return True
-        if isinstance(node, ast.Attribute) and "tracer" in node.attr.lower():
-            return True
-    return False
+def _names_obs(receiver: ast.AST) -> bool:
+    """True when the receiver is an observability bundle (``self.obs``,
+    ``obs``, ``self.client.obs`` ...)."""
+    name = getattr(receiver, "attr", getattr(receiver, "id", ""))
+    return name == "obs" or name.endswith("_obs")
 
 
-def _mentions_flight(receiver: ast.AST) -> bool:
-    """True when the receiver expression names a flight recorder
-    (``self._flight``, ``flight``, ``obs.flight`` ...)."""
-    for node in ast.walk(receiver):
-        if isinstance(node, ast.Name) and "flight" in node.id.lower():
-            return True
-        if isinstance(node, ast.Attribute) and "flight" in node.attr.lower():
-            return True
-    return False
+def _mentions(receiver: ast.AST, word: str) -> bool:
+    """True when a name in the receiver expression contains ``word``
+    (``self._tracer``, ``tracer``, ``obs.flight`` ...)."""
+    return any(
+        word in getattr(node, "attr", getattr(node, "id", "")).lower()
+        for node in ast.walk(receiver)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
 
 
 #: Local names that conventionally hold a registered node handler or a

@@ -158,7 +158,6 @@ class TcpTransport(RealTransport):
     def _deliver_frame(self, node: Hashable, body: bytes) -> None:
         with self._lock:
             self._bytes_received += len(body) + _HEADER_SIZE
-            self._obs_bytes_received.inc(float(len(body) + _HEADER_SIZE))
         try:
             sender, receiver, payload_bytes, mac = codec.decode_frame(body)
         except codec.CodecError:
@@ -190,13 +189,10 @@ class TcpTransport(RealTransport):
         with self._lock:
             if counter == "delivered":
                 self._delivered += 1
-                self._obs_frames_delivered.inc()
             elif counter == "dropped":
                 self._dropped += 1
-                self._obs_frames_dropped.inc()
             else:
                 self._rejected += 1
-                self._obs_mac_rejects.inc()
 
     # ------------------------------------------------------------------
     # Sending
@@ -230,8 +226,6 @@ class TcpTransport(RealTransport):
         with self._lock:
             self._frames_sent += 1
             self._bytes_sent += len(frame)
-            self._obs_frames_sent.inc()
-            self._obs_bytes_sent.inc(float(len(frame)))
         reactor = self.reactor_of(sender if sender in self._handlers else receiver)
         reactor.call_soon(lambda: self._enqueue(reactor, receiver, frame))
 

@@ -267,29 +267,27 @@ class RealTransport:
         self._last_handler_error: Optional[BaseException] = None
         self.obs = NULL_OBS if obs is None else obs
         registry = self.obs.registry
-        self._flight = self.obs.flight
-        labels = {"transport": name}
-        self._obs_frames_sent = registry.counter(
+        registry.counter(
             "net_frames_sent_total", "Frames authenticated and dispatched"
-        ).labels(**labels)
-        self._obs_frames_delivered = registry.counter(
+        ).read_from(lambda: self._frames_sent, transport=name)
+        registry.counter(
             "net_frames_delivered_total", "Frames verified and handed to a handler"
-        ).labels(**labels)
-        self._obs_frames_dropped = registry.counter(
+        ).read_from(lambda: self._delivered, transport=name)
+        registry.counter(
             "net_frames_dropped_total", "Frames discarded (no handler / misrouted)"
-        ).labels(**labels)
-        self._obs_mac_rejects = registry.counter(
+        ).read_from(lambda: self._dropped, transport=name)
+        registry.counter(
             "net_mac_rejects_total", "Frames rejected by MAC/codec verification"
-        ).labels(**labels)
-        self._obs_handler_errors = registry.counter(
+        ).read_from(lambda: self._rejected, transport=name)
+        registry.counter(
             "net_handler_errors_total", "Exceptions raised by node handlers"
-        ).labels(**labels)
-        self._obs_bytes_sent = registry.counter(
+        ).read_from(lambda: self._handler_errors, transport=name)
+        registry.counter(
             "net_bytes_sent_total", "Wire bytes written (0 for in-memory transports)"
-        ).labels(**labels)
-        self._obs_bytes_received = registry.counter(
+        ).read_from(lambda: self._bytes_sent, transport=name)
+        registry.counter(
             "net_bytes_received_total", "Wire bytes read (0 for in-memory transports)"
-        ).labels(**labels)
+        ).read_from(lambda: self._bytes_received, transport=name)
 
     # ------------------------------------------------------------------
     # Reactors and pinning
@@ -333,9 +331,8 @@ class RealTransport:
                 with self._lock:
                     self._handler_errors += 1
                     self._last_handler_error = error
-                    self._obs_handler_errors.inc()
-                if self._flight.enabled:
-                    self._flight.record(
+                if self.obs.enabled:
+                    self.obs.record(
                         "net-error",
                         self.name,
                         self.now,
@@ -434,7 +431,6 @@ class RealTransport:
         mac = self._authenticator.mac(sender, receiver, payload, data=data)
         with self._lock:
             self._frames_sent += 1
-            self._obs_frames_sent.inc()
         self._dispatch(sender, receiver, payload, mac, data)
 
     def broadcast(self, sender: Hashable, receivers: Iterable[Hashable], payload: Any) -> None:
@@ -456,14 +452,12 @@ class RealTransport:
         if handler is None:
             with self._lock:
                 self._dropped += 1
-                self._obs_frames_dropped.inc()
             return
         if not self._authenticator.verify(sender, receiver, payload, mac, data=data):
             with self._lock:
                 self._rejected += 1
-                self._obs_mac_rejects.inc()
-            if self._flight.enabled:
-                self._flight.record(
+            if self.obs.enabled:
+                self.obs.record(
                     "net-reject",
                     receiver,
                     self.now,
@@ -474,7 +468,6 @@ class RealTransport:
             return
         with self._lock:
             self._delivered += 1
-            self._obs_frames_delivered.inc()
         self._guarded(lambda: handler(sender, payload))()
 
     # ------------------------------------------------------------------

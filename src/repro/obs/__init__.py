@@ -19,13 +19,18 @@ The package bundles four passive instruments:
   fire/clear hysteresis, surfaced via ``Space.stats()["health"]``.
 
 :class:`Observability` carries all four through ``connect(obs=...)`` /
-``Scenario(obs=...)`` into every layer.  Components default to the
-shared :data:`NULL_OBS` (a disabled registry + tracer + recorder +
-monitor whose operations are no-ops), so instrumentation costs ~nothing
-until someone attaches a real bundle.  No instrument reads a clock or an
-RNG — enabling observability never perturbs the seeded simulation, so
-same-seed replays stay byte-identical (the determinism tests pin this
-down).
+``Scenario(obs=...)`` into every layer.  Each event is recorded once,
+through :meth:`Observability.record` behind an ``if self.obs.enabled:``
+guard (lint rule RL002): the event lands in the node's flight ring, and
+the bundle alone decides which events also form request spans in the
+tracer.  Counts a component already keeps (its ``.statistics`` ints) are
+exported by reading them at snapshot time, never pushed a second time.
+Components default to the shared :data:`NULL_OBS` (a disabled registry +
+tracer + recorder + monitor whose operations are no-ops), so
+instrumentation costs ~nothing until someone attaches a real bundle.
+No instrument reads a clock or an RNG — enabling observability never
+perturbs the seeded simulation, so same-seed replays stay byte-identical
+(the determinism tests pin this down).
 
 Quick start::
 
@@ -92,6 +97,21 @@ __all__ = [
 ]
 
 
+#: Flight kinds that are also a lifecycle phase of the event's ``key``.
+_REQUEST_PHASES = frozenset({"submit", "route", "execute", "reply", "notify", "complete"})
+#: Ordering kinds: one flight event per batch, one span phase per request
+#: key it carries in ``keys``.
+_BATCH_PHASES = frozenset({"pre-prepare", "prepare", "commit"})
+#: Transaction sub-protocol steps get their own phases on ``execute``, so
+#: a timeline shows prepare→decision.
+_TXN_PHASES = {
+    "txn_prepare": "txn-prepare",
+    "txn_decision": "txn-decision",
+    "txn_force": "txn-decision",
+}
+_SPAN_KINDS = _REQUEST_PHASES | _BATCH_PHASES
+
+
 class Observability:
     """Registry + tracer + flight recorder + health monitor, one bundle.
 
@@ -106,10 +126,10 @@ class Observability:
     def __init__(
         self,
         *,
-        registry: Optional[MetricsRegistry] = None,
+        registry: Any = None,
         tracer: Optional[Tracer] = None,
         flight: Optional[FlightRecorder] = None,
-        health: Optional[HealthMonitor] = None,
+        health: Any = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
@@ -117,6 +137,28 @@ class Observability:
         self.health = (
             health if health is not None else HealthMonitor(registry=self.registry)
         )
+
+    def record(self, kind: str, node: Any, now: float, *, key: Any = None, **details: Any) -> None:
+        """Record one ``kind`` event observed by ``node`` at ``now``.
+
+        The event goes to ``node``'s flight ring.  Lifecycle kinds also
+        advance the tracer span of request ``key`` — batch kinds the span
+        of every key in ``details["keys"]``, and ``route`` is attributed
+        to the ``shard-N`` it routed to.
+        """
+        if self.flight.enabled:
+            self.flight.append(kind, node, now, key, details)
+        if kind in _SPAN_KINDS and self.tracer.enabled:
+            tracer = self.tracer
+            if kind in _BATCH_PHASES:
+                for request_key in details["keys"]:
+                    tracer.record(kind, request_key, node, now)
+                return
+            if kind == "route":
+                node = f"shard-{details['shard']}"
+            tracer.record(kind, key, node, now)
+            if kind == "execute" and details["operation"] in _TXN_PHASES:
+                tracer.record(_TXN_PHASES[details["operation"]], key, node, now)
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -133,22 +175,16 @@ class Observability:
         )
 
 
-class _NullObservability:
-    """The disabled bundle every component defaults to."""
+class _NullObservability(Observability):
+    """The disabled bundle every component defaults to: every instrument
+    is its null object, so :meth:`record` keeps nothing."""
 
     enabled = False
-    registry = NULL_REGISTRY
-    tracer = NULL_TRACER
-    flight = NULL_FLIGHT
-    health = NULL_HEALTH
 
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "metrics": {},
-            "tracing": NULL_TRACER.statistics(),
-            "flight": NULL_FLIGHT.statistics(),
-            "health": NULL_HEALTH.statistics(),
-        }
+    def __init__(self) -> None:
+        super().__init__(
+            registry=NULL_REGISTRY, tracer=NULL_TRACER, flight=NULL_FLIGHT, health=NULL_HEALTH
+        )
 
     def __repr__(self) -> str:
         return "NULL_OBS"

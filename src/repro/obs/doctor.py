@@ -144,10 +144,10 @@ def _digest_prefix(digest: Any) -> str:
 #: when inferring each group's size n (and so f and the quorum).
 _REPLICA_KINDS = frozenset(
     {
-        "msg-send", "execute", "reply", "checkpoint-vote", "checkpoint-cert",
-        "state-request", "state-response", "state-install", "view-change",
-        "view-installed", "waiter-notify", "policy-deny", "lock-grant",
-        "lock-release", "lock-expire",
+        "msg-send", "pre-prepare", "prepare", "commit", "execute", "reply",
+        "checkpoint-vote", "checkpoint-cert", "state-request", "state-response",
+        "state-install", "view-change", "view-installed", "notify",
+        "policy-deny", "lock-grant", "lock-release", "lock-expire",
     }
 )
 

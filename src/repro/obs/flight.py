@@ -20,9 +20,10 @@ in ``dropped`` so a dump is honest about what it no longer shows.
 Like the tracer and the metrics registry, the recorder is strictly
 passive: it never reads a clock or an RNG (timestamps are passed in by
 the call sites) and never schedules anything, so the byte-identical
-same-seed replay guarantee holds with recording enabled.  Call sites
-follow the guarded-tracer convention (``if self._flight.enabled:``),
-enforced by lint rule RL002.
+same-seed replay guarantee holds with recording enabled.  Components
+never call the recorder directly: they record through
+:meth:`repro.obs.Observability.record` behind ``if self.obs.enabled:``
+(lint rule RL002), which appends here and feeds the tracer.
 
 :meth:`FlightRecorder.dump` emits a deterministic JSON-able payload;
 ``python -m repro.obs.doctor`` merges such dumps from every node of a
@@ -31,6 +32,7 @@ deployment into one causally ordered timeline and a diagnosis.
 
 from __future__ import annotations
 
+import collections
 import threading
 from typing import Any, Hashable, Optional
 
@@ -48,6 +50,11 @@ EVENT_KINDS: frozenset[str] = frozenset(
         # View changes.
         "view-change",
         "view-installed",
+        # Ordering: one event per batch, carrying view, sequence and the
+        # request keys it orders.
+        "pre-prepare",
+        "prepare",
+        "commit",
         # Checkpoints and state transfer.
         "checkpoint-vote",
         "checkpoint-cert",
@@ -67,7 +74,7 @@ EVENT_KINDS: frozenset[str] = frozenset(
         # Waiters and notifications (repro.notify).
         "waiter-register",
         "waiter-cancel",
-        "waiter-notify",
+        "notify",
         # Transaction locks and outcomes (repro.txn).
         "lock-grant",
         "lock-release",
@@ -92,6 +99,25 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
+class _Ring(collections.deque):
+    """One node's ring of ``(kind, t, key, details, seq)`` entries: a full
+    ring evicts its oldest entry on append, ``recorded`` counts every
+    entry ever appended (the next ``seq``), and event dicts are built only
+    when read."""
+
+    recorded = 0
+
+
+def _event(kind: str, now: float, key: Any, details: dict[str, Any], seq: int) -> dict[str, Any]:
+    """One retained ring entry as the event dict readers see."""
+    event: dict[str, Any] = {"kind": kind, "t": now}
+    if key is not None:
+        event["key"] = key
+    event.update(details)
+    event["seq"] = seq
+    return event
+
+
 class FlightRecorder:
     """Per-node bounded ring buffers of typed, structured events.
 
@@ -108,11 +134,7 @@ class FlightRecorder:
             raise ValueError("capacity must be positive")
         self._lock = threading.Lock()
         self.capacity = capacity
-        # node -> ring list (append until capacity, then overwrite at head).
-        self._rings: dict[str, list[dict[str, Any]]] = {}
-        self._heads: dict[str, int] = {}
-        self._next_seq: dict[str, int] = {}
-        self._dropped: dict[str, int] = {}
+        self._rings: dict[str, _Ring] = {}
 
     # ------------------------------------------------------------------
     # Recording (hot path — called from inside the event loops)
@@ -133,31 +155,21 @@ class FlightRecorder:
         to one request's lifecycle; ``details`` are free-form structured
         fields (sequence numbers, digests, view numbers, reasons).
         """
+        self.append(kind, node, now, key, details)
+
+    def append(
+        self, kind: str, node: Any, now: float, key: Optional[Hashable], details: dict[str, Any]
+    ) -> None:
+        """:meth:`record` with ``details`` passed as a dict, not re-packed."""
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown flight event kind {kind!r}")
         name = str(node)
-        event: dict[str, Any] = {"kind": kind, "t": now}
-        if key is not None:
-            event["key"] = key
-        if details:
-            event.update(details)
         with self._lock:
-            seq = self._next_seq.get(name, 0)
-            self._next_seq[name] = seq + 1
-            event["seq"] = seq
             ring = self._rings.get(name)
             if ring is None:
-                ring = []
-                self._rings[name] = ring
-                self._heads[name] = 0
-                self._dropped[name] = 0
-            if len(ring) < self.capacity:
-                ring.append(event)
-            else:
-                head = self._heads[name]
-                ring[head] = event
-                self._heads[name] = (head + 1) % self.capacity
-                self._dropped[name] += 1
+                ring = self._rings[name] = _Ring(maxlen=self.capacity)
+            ring.append((kind, now, key, details, ring.recorded))
+            ring.recorded += 1
 
     # ------------------------------------------------------------------
     # Assembly / dumps
@@ -171,12 +183,8 @@ class FlightRecorder:
         """One node's retained events, oldest first (sequence order)."""
         name = str(node)
         with self._lock:
-            ring = self._rings.get(name)
-            if not ring:
-                return []
-            head = self._heads[name]
-            ordered = ring[head:] + ring[:head]
-            return [dict(event) for event in ordered]
+            entries = list(self._rings.get(name, ()))
+        return [_event(*entry) for entry in entries]
 
     def dump_node(self, node: Any) -> dict[str, Any]:
         """One node's recording as a deterministic JSON-able payload."""
@@ -186,13 +194,13 @@ class FlightRecorder:
             for event in self.events(name)
         ]
         with self._lock:
-            recorded = self._next_seq.get(name, 0)
-            dropped = self._dropped.get(name, 0)
+            ring = self._rings.get(name, _Ring())
+            recorded, retained = ring.recorded, len(ring)
         return {
             "node": name,
             "capacity": self.capacity,
             "recorded": recorded,
-            "dropped": dropped,
+            "dropped": recorded - retained,
             "events": events,
         }
 
@@ -205,19 +213,19 @@ class FlightRecorder:
 
     def statistics(self) -> dict[str, Any]:
         with self._lock:
-            return {
-                "nodes": len(self._rings),
-                "retained": sum(len(ring) for ring in self._rings.values()),
-                "recorded": sum(self._next_seq.values()),
-                "dropped": sum(self._dropped.values()),
-            }
+            nodes = len(self._rings)
+            retained = sum(len(ring) for ring in self._rings.values())
+            recorded = sum(ring.recorded for ring in self._rings.values())
+        return {
+            "nodes": nodes,
+            "retained": retained,
+            "recorded": recorded,
+            "dropped": recorded - retained,
+        }
 
     def clear(self) -> None:
         with self._lock:
             self._rings.clear()
-            self._heads.clear()
-            self._next_seq.clear()
-            self._dropped.clear()
 
     def __repr__(self) -> str:
         stats = self.statistics()
@@ -227,45 +235,19 @@ class FlightRecorder:
         )
 
 
-class NullFlightRecorder:
-    """Disabled recorder: ``enabled`` is False so call sites skip entirely."""
+class NullFlightRecorder(FlightRecorder):
+    """Disabled recorder: ``enabled`` is False so call sites skip entirely,
+    and :meth:`record` keeps nothing, so every dump stays empty."""
 
     enabled = False
-    capacity = 0
 
-    def record(
-        self,
-        kind: str,
-        node: Any,
-        now: float,
-        *,
-        key: Optional[Hashable] = None,
-        **details: Any,
+    def __init__(self) -> None:
+        super().__init__()
+        self.capacity = 0
+
+    def append(
+        self, kind: str, node: Any, now: float, key: Optional[Hashable], details: dict[str, Any]
     ) -> None:
-        pass
-
-    def nodes(self) -> list[str]:
-        return []
-
-    def events(self, node: Any) -> list[dict[str, Any]]:
-        return []
-
-    def dump_node(self, node: Any) -> dict[str, Any]:
-        return {
-            "node": str(node),
-            "capacity": 0,
-            "recorded": 0,
-            "dropped": 0,
-            "events": [],
-        }
-
-    def dump(self) -> dict[str, Any]:
-        return {"capacity": 0, "nodes": {}}
-
-    def statistics(self) -> dict[str, Any]:
-        return {"nodes": 0, "retained": 0, "recorded": 0, "dropped": 0}
-
-    def clear(self) -> None:
         pass
 
     def __repr__(self) -> str:

@@ -15,6 +15,10 @@ Iteration order is deterministic: metrics render in creation order and
 samples in first-seen label order (plain dict insertion order), so two
 identical runs produce identical exporter output.
 
+A count a component already keeps (a ``.statistics`` int) is not pushed
+twice: ``read_from`` binds its sample to a function read at export (a
+Prometheus-style custom collector), so the hot path skips the registry.
+
 When no observability is attached, components bind against
 :data:`NULL_REGISTRY` instead — its children are a shared no-op object,
 so the disabled hot path costs one no-op method call.
@@ -29,7 +33,7 @@ from __future__ import annotations
 import bisect
 import json
 import threading
-from typing import Any, Iterator, Mapping, Optional, Sequence, Tuple, TypeVar, cast
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Tuple, TypeVar, cast
 
 __all__ = [
     "Counter",
@@ -110,6 +114,23 @@ class _GaugeChild:
         self.value -= amount
 
 
+class _ReadChild:
+    """One labelled sample read at export from the counts its owners keep.
+
+    Several owners may bind the same label set (every client feeds the
+    unlabelled ``client_requests_total``); the sample is their sum.
+    """
+
+    __slots__ = ("reads",)
+
+    def __init__(self, read: Callable[[], float]) -> None:
+        self.reads = [read]
+
+    @property
+    def value(self) -> float:
+        return float(sum(read() for read in self.reads))
+
+
 class _HistogramChild:
     """One labelled histogram sample: bucket counts + sum + count."""
 
@@ -182,7 +203,27 @@ class _Family:
 _F = TypeVar("_F", bound=_Family)
 
 
-class Counter(_Family):
+class _ScalarFamily(_Family):
+    """Counters and gauges: a sample is either pushed or read at export."""
+
+    def read_from(self, read: Callable[[], float], **labels: Any) -> None:
+        """Export ``read()`` as the sample for ``labels``, read at export.
+
+        The read-time hook for a count the component already keeps: no
+        bound child, nothing to increment on the hot path.
+        """
+        key = _label_key(labels)
+        with self._lock:
+            child = self._children.get(key)
+            if child is None:
+                self._children[key] = _ReadChild(read)
+            elif isinstance(child, _ReadChild):
+                child.reads.append(read)
+            else:
+                raise TypeError(f"{self.name}{dict(key)} is already a pushed sample")
+
+
+class Counter(_ScalarFamily):
     """Monotone counter family.  ``labels(**kw)`` binds one sample."""
 
     kind = "counter"
@@ -198,7 +239,7 @@ class Counter(_Family):
         return self.labels().value
 
 
-class Gauge(_Family):
+class Gauge(_ScalarFamily):
     """Point-in-time value family (queue depths, view numbers, ...)."""
 
     kind = "gauge"
@@ -395,6 +436,9 @@ class _NullMetric:
 
     def labels(self, **labels: Any) -> "_NullMetric":
         return self
+
+    def read_from(self, read: Callable[[], float], **labels: Any) -> None:
+        pass
 
     def inc(self, amount: float = 1.0) -> None:
         pass

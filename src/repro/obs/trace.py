@@ -3,10 +3,12 @@
 A *span* is the life of one client request, keyed by the correlation id
 that is **already on every wire message**: ``ClientRequest.key ==
 (client, request_id)``.  No message format changes — the client, the
-shard router, every PBFT node and the executing replica simply report
-``(phase, key, node, now)`` observations into a shared :class:`Tracer`,
-which keeps the *first* time each phase was reached (the 2f+1 replicas
-all reach ``prepare``; the earliest one defines when the system did).
+shard router, every PBFT node and the executing replica record their
+events through :meth:`repro.obs.Observability.record`, which turns the
+lifecycle kinds into ``(phase, key, node, now)`` observations on a shared
+:class:`Tracer`; it keeps the *first* time each phase was reached (the
+2f+1 replicas all reach ``prepare``; the earliest one defines when the
+system did).
 
 Canonical phases, in lifecycle order::
 
@@ -176,30 +178,13 @@ class Tracer:
         return f"Tracer(requests={len(self._spans)}, dropped={self._dropped})"
 
 
-class NullTracer:
-    """Disabled tracer: ``enabled`` is False so call sites skip entirely."""
+class NullTracer(Tracer):
+    """Disabled tracer: ``enabled`` is False so call sites skip entirely,
+    and :meth:`record` keeps nothing, so every view stays empty."""
 
     enabled = False
 
     def record(self, phase: str, key: Hashable, node: Any, now: float) -> None:
-        pass
-
-    def requests(self) -> list[Hashable]:
-        return []
-
-    def timeline(self, key: Hashable) -> list[Tuple[str, float, str]]:
-        return []
-
-    def phase_durations(self, key: Hashable) -> list[Tuple[str, float]]:
-        return []
-
-    def phase_report(self) -> list[dict[str, Any]]:
-        return []
-
-    def statistics(self) -> dict[str, Any]:
-        return {"requests": 0, "complete": 0, "observations": 0, "dropped": 0}
-
-    def clear(self) -> None:
         pass
 
     def __repr__(self) -> str:

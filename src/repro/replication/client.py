@@ -161,17 +161,15 @@ class PEATSClient:
         }
         self.obs = NULL_OBS if obs is None else obs
         registry = self.obs.registry
-        self._tracer = self.obs.tracer
-        self._flight = self.obs.flight
-        self._obs_requests = registry.counter(
+        registry.counter(
             "client_requests_total", "Requests submitted by replicated-PEATS clients"
-        ).labels()
-        self._obs_retransmissions = registry.counter(
+        ).read_from(lambda: self._statistics["requests"])
+        registry.counter(
             "client_retransmissions_total", "Request re-broadcasts after a stalled vote"
-        ).labels()
-        self._obs_quorum_failures = registry.counter(
+        ).read_from(lambda: self._statistics["retransmissions"])
+        registry.counter(
             "client_quorum_failures_total", "Requests abandoned without an f+1 reply vote"
-        ).labels()
+        ).read_from(lambda: self._statistics["quorum_failures"])
         self._obs_wake_latency = registry.histogram(
             "notify_wake_latency",
             "Delay from arming a waiter to its first f+1-voted wake-up",
@@ -362,8 +360,8 @@ class PEATSClient:
                 return matching[0].result
         if len(replies) >= len(pending.targets):
             self._statistics["mismatched_replies"] += 1
-            if self._flight.enabled:
-                self._flight.record(
+            if self.obs.enabled:
+                self.obs.record(
                     "reply-mismatch",
                     self.client_id,
                     self.network.now,
@@ -376,12 +374,8 @@ class PEATSClient:
     def _resolve(self, pending: PendingRequest, result: Any) -> None:
         self._pending.pop(pending.key, None)
         self._replies.pop(pending.key, None)
-        if self._tracer.enabled:
-            self._tracer.record("complete", pending.key, self.client_id, self.network.now)
-        if self._flight.enabled:
-            self._flight.record(
-                "complete", self.client_id, self.network.now, key=pending.key
-            )
+        if self.obs.enabled:
+            self.obs.record("complete", self.client_id, self.network.now, key=pending.key)
         pending._complete(self.network.now, result=result)
 
     def _fail(self, pending: PendingRequest, exception: BaseException) -> None:
@@ -396,9 +390,8 @@ class PEATSClient:
         pending.attempts += 1
         if pending.attempts > self._max_retransmissions:
             self._statistics["quorum_failures"] += 1
-            self._obs_quorum_failures.inc()
-            if self._flight.enabled:
-                self._flight.record(
+            if self.obs.enabled:
+                self.obs.record(
                     "quorum-failure",
                     self.client_id,
                     self.network.now,
@@ -417,7 +410,6 @@ class PEATSClient:
         # nudge the replicas' view-change timers (virtual time has already
         # advanced to this timer's firing point) and retransmit.
         self._statistics["retransmissions"] += 1
-        self._obs_retransmissions.inc()
         if self._nudge_timeouts is not None:
             self._nudge_timeouts()
         self.network.broadcast(self._address, pending.targets, pending.request)
@@ -557,11 +549,8 @@ class PEATSClient:
         pending = PendingRequest(request, self.network.now, targets=targets)
         self._pending[request.key] = pending
         self._statistics["requests"] += 1
-        self._obs_requests.inc()
-        if self._tracer.enabled:
-            self._tracer.record("submit", request.key, self.client_id, self.network.now)
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "submit",
                 self.client_id,
                 self.network.now,

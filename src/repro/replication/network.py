@@ -42,7 +42,7 @@ import random
 from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.obs.flight import NULL_FLIGHT
+from repro.obs import NULL_OBS
 from repro.replication.crypto import KeyStore, MessageAuthenticator, canonical_bytes
 
 __all__ = ["NetworkConfig", "Envelope", "Timer", "SimulatedNetwork"]
@@ -133,15 +133,15 @@ class SimulatedNetwork:
         # Per-receiver serialisation horizon (only used when the config's
         # processing_time is positive).
         self._busy_until: dict[Hashable, float] = {}
-        # Flight recorder for drop/reject accounting (attach_flight); the
-        # network is the only component that can attribute a message that
-        # never reached a handler.  Strictly passive: recording consumes
-        # no randomness and schedules nothing.
-        self._flight = NULL_FLIGHT
+        # Observability for drop/reject events (attach_obs); the network
+        # is the only component that can attribute a message that never
+        # reached a handler.  Strictly passive: recording consumes no
+        # randomness and schedules nothing.
+        self.obs: Any = NULL_OBS
 
-    def attach_flight(self, flight: Any) -> None:
-        """Record message drops/rejects into ``flight`` (see repro.obs)."""
-        self._flight = flight
+    def attach_obs(self, obs: Any) -> None:
+        """Record message drops/rejects through ``obs`` (see repro.obs)."""
+        self.obs = obs
 
     # ------------------------------------------------------------------
     # Topology management
@@ -217,8 +217,8 @@ class SimulatedNetwork:
             raise SimulationError(f"unknown receiver {receiver!r}")
         if frozenset((sender, receiver)) in self._partitioned:
             self._dropped += 1
-            if self._flight.enabled:
-                self._flight.record(
+            if self.obs.enabled:
+                self.obs.record(
                     "msg-drop",
                     sender,
                     self._now,
@@ -229,8 +229,8 @@ class SimulatedNetwork:
             return
         if self._config.drop_probability and self._rng.random() < self._config.drop_probability:
             self._dropped += 1
-            if self._flight.enabled:
-                self._flight.record(
+            if self.obs.enabled:
+                self.obs.record(
                     "msg-drop",
                     sender,
                     self._now,
@@ -320,8 +320,8 @@ class SimulatedNetwork:
             envelope.sender, envelope.receiver, envelope.payload, envelope.mac, data=envelope.data
         ):
             self._rejected += 1
-            if self._flight.enabled:
-                self._flight.record(
+            if self.obs.enabled:
+                self.obs.record(
                     "net-reject",
                     envelope.receiver,
                     self._now,

@@ -221,57 +221,58 @@ class OrderingNode:
         # sequence ceiling below, so it holds at most ~log_window entries.
         self._out_of_window: Dict[int, tuple[Hashable, PrePrepare]] = {}
 
-        # Observability: pre-bound per-node metric children (no-ops when no
-        # bundle is attached) plus plain-int mirrors for ``statistics``.
-        self.obs = NULL_OBS if obs is None else obs
-        registry = self.obs.registry
-        self._tracer = self.obs.tracer
-        self._flight = self.obs.flight
-        node = str(replica_id)
-        self._obs_batches = registry.counter(
-            "pbft_batches_total", "Consensus batches this node pre-prepared as primary"
-        ).labels(node=node)
-        self._obs_batch_size = registry.histogram(
-            "pbft_batch_size",
-            "Client requests packed per pre-prepared batch",
-            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-        ).labels(node=node)
-        self._obs_pending_depth = registry.gauge(
-            "pbft_pending_depth", "Buffered client requests not yet assigned to a batch"
-        ).labels(node=node)
-        self._obs_view_changes = registry.counter(
-            "pbft_view_changes_total", "View changes this node started"
-        ).labels(node=node)
-        self._obs_checkpoints = registry.counter(
-            "pbft_checkpoints_total", "Checkpoints this node took"
-        ).labels(node=node)
-        self._obs_truncations = registry.counter(
-            "pbft_truncations_total", "Log truncations after a stable certificate"
-        ).labels(node=node)
-        self._obs_reply_cache_hits = registry.counter(
-            "pbft_reply_cache_hits_total", "Retransmissions answered from the reply cache"
-        ).labels(node=node)
-        self._obs_executed = registry.counter(
-            "pbft_executed_total", "Client requests executed in sequence order"
-        ).labels(node=node)
-        self._obs_notify_pushed = registry.counter(
-            "notify_pushed_total", "Waiter notifications this node pushed to clients"
-        ).labels(node=node)
+        # The counts ``statistics`` reports; the registry reads the same
+        # ints at export (no mirror to keep in step).
         self._batches_proposed = 0
         self._view_changes_started = 0
         self._checkpoints_taken = 0
         self._truncations = 0
         self._reply_cache_hits = 0
         self._requests_executed = 0
+        self.obs = NULL_OBS if obs is None else obs
+        registry = self.obs.registry
+        node = str(replica_id)
+        registry.counter(
+            "pbft_batches_total", "Consensus batches this node pre-prepared as primary"
+        ).read_from(lambda: self._batches_proposed, node=node)
+        self._obs_batch_size = registry.histogram(
+            "pbft_batch_size",
+            "Client requests packed per pre-prepared batch",
+            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
+        ).labels(node=node)
+        registry.gauge(
+            "pbft_pending_depth", "Buffered client requests not yet assigned to a batch"
+        ).read_from(lambda: len(self._unordered), node=node)
+        registry.counter(
+            "pbft_view_changes_total", "View changes this node started"
+        ).read_from(lambda: self._view_changes_started, node=node)
+        registry.counter(
+            "pbft_checkpoints_total", "Checkpoints this node took"
+        ).read_from(lambda: self._checkpoints_taken, node=node)
+        registry.counter(
+            "pbft_truncations_total", "Log truncations after a stable certificate"
+        ).read_from(lambda: self._truncations, node=node)
+        registry.counter(
+            "pbft_reply_cache_hits_total", "Retransmissions answered from the reply cache"
+        ).read_from(lambda: self._reply_cache_hits, node=node)
+        registry.counter(
+            "pbft_executed_total", "Client requests executed in sequence order"
+        ).read_from(lambda: self._requests_executed, node=node)
+        self._obs_notify_pushed = registry.counter(
+            "notify_pushed_total", "Waiter notifications this node pushed to clients"
+        ).labels(node=node)
 
         network.register(replica_id, self.on_message)
 
-    def _trace_batch(self, phase: str, requests: tuple, now: float) -> None:
-        """Record ``phase`` for every real request of a batch (tracing on)."""
-        tracer = self._tracer
-        for request in requests:
-            if request.client != NULL_REQUEST_CLIENT:
-                tracer.record(phase, request.key, self.replica_id, now)
+    def _flight_batch(self, kind: str, message: PrePrepare) -> None:
+        """Record one ordering-phase event for a pre-prepared batch: view,
+        sequence and real request keys (callers guard on ``obs.enabled``)."""
+        requests = message.batch.requests
+        keys = tuple([r.key for r in requests if r.client != NULL_REQUEST_CLIENT])
+        self.obs.record(
+            kind, self.replica_id, self.network.now,
+            view=message.view, sequence=message.sequence, keys=keys,
+        )
 
     # ------------------------------------------------------------------
     # Helpers
@@ -307,8 +308,8 @@ class OrderingNode:
     def _multicast(self, payload: Any) -> None:
         if self.is_silent:
             return
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "msg-send",
                 self.replica_id,
                 self.network.now,
@@ -343,8 +344,8 @@ class OrderingNode:
             # state-transfer thresholds) or pull a full state dump past
             # the access policy via StateRequest.
             return
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "msg-recv",
                 self.replica_id,
                 self.network.now,
@@ -421,7 +422,6 @@ class OrderingNode:
             # Retransmission of the client's latest executed request:
             # resend the cached reply.
             self._reply_cache_hits += 1
-            self._obs_reply_cache_hits.inc()
             self._reply(request, cached)
             return
         latest = self.application.last_request_id(request.client)
@@ -435,7 +435,6 @@ class OrderingNode:
         self._buffered_since.setdefault(request.key, self.network.now)
         self._unordered.setdefault(request.key, request)
         self._maybe_drain()
-        self._obs_pending_depth.set(len(self._unordered))
 
     # ------------------------------------------------------------------
     # Waiter registrations (repro.notify)
@@ -467,15 +466,12 @@ class OrderingNode:
     def _notify(self, notification: Any) -> None:
         if self.is_silent:
             return
-        if self._tracer.enabled:
-            self._tracer.record(
-                "notify", notification.event, self.replica_id, self.network.now
-            )
-        if self._flight.enabled:
-            self._flight.record(
-                "waiter-notify",
+        if self.obs.enabled:
+            self.obs.record(
+                "notify",
                 self.replica_id,
                 self.network.now,
+                key=notification.event,
                 client=str(notification.client),
                 waiter_id=notification.waiter_id,
             )
@@ -516,9 +512,9 @@ class OrderingNode:
         """
         if self.is_silent:
             return
-        if self._flight.enabled:
+        if self.obs.enabled:
             kind = "txn-vote" if isinstance(push, TxnVote) else "txn-decision"
-            self._flight.record(
+            self.obs.record(
                 kind,
                 self.replica_id,
                 self.network.now,
@@ -571,10 +567,7 @@ class OrderingNode:
         self.next_sequence += 1
         self._ordered_keys.update(batch.keys())
         self._batches_proposed += 1
-        self._obs_batches.inc()
         self._obs_batch_size.observe(float(len(batch.requests)))
-        if self._tracer.enabled:
-            self._trace_batch("pre-prepare", batch.requests, self.network.now)
         message = PrePrepare(
             view=self.view,
             sequence=sequence,
@@ -582,6 +575,8 @@ class OrderingNode:
             batch=batch,
             primary=self.replica_id,
         )
+        if self.obs.enabled:
+            self._flight_batch("pre-prepare", message)
         # The primary also records its own pre-prepare locally.
         self._pre_prepares[(self.view, sequence)] = message
         self._multicast(message)
@@ -633,8 +628,8 @@ class OrderingNode:
             return
         self._pre_prepares[key] = message
         self._ordered_keys.update(message.batch.keys())
-        if self._tracer.enabled:
-            self._trace_batch("pre-prepare", message.batch.requests, self.network.now)
+        if self.obs.enabled:
+            self._flight_batch("pre-prepare", message)
         for request in message.batch.requests:
             self._unordered.pop(request.key, None)
             if request.client != NULL_REQUEST_CLIENT:
@@ -688,10 +683,8 @@ class OrderingNode:
         if not self._prepared(view, sequence, batch_digest):
             return
         self._sent_commit.add(key)
-        if self._tracer.enabled:
-            self._trace_batch(
-                "prepare", self._pre_prepares[key].batch.requests, self.network.now
-            )
+        if self.obs.enabled:
+            self._flight_batch("prepare", self._pre_prepares[key])
         self._multicast(
             Commit(
                 view=view,
@@ -728,10 +721,8 @@ class OrderingNode:
         if sequence <= self.last_executed or sequence in self._committed:
             return
         self._committed[sequence] = self._pre_prepares[key].batch
-        if self._tracer.enabled:
-            self._trace_batch(
-                "commit", self._pre_prepares[key].batch.requests, self.network.now
-            )
+        if self.obs.enabled:
+            self._flight_batch("commit", self._pre_prepares[key])
         self._execute_ready()
 
     def _execute_ready(self) -> None:
@@ -742,22 +733,8 @@ class OrderingNode:
             for request in batch.requests:
                 latest = self.application.last_request_id(request.client)
                 stale = latest is not None and latest > request.request_id
-                if self._tracer.enabled and request.client != NULL_REQUEST_CLIENT:
-                    self._tracer.record(
-                        "execute", request.key, self.replica_id, self.network.now
-                    )
-                    # Transaction sub-protocol steps get their own lifecycle
-                    # phases, so a trace timeline shows prepare→decision.
-                    if request.operation == "txn_prepare":
-                        self._tracer.record(
-                            "txn-prepare", request.key, self.replica_id, self.network.now
-                        )
-                    elif request.operation in ("txn_decision", "txn_force"):
-                        self._tracer.record(
-                            "txn-decision", request.key, self.replica_id, self.network.now
-                        )
-                if self._flight.enabled and request.client != NULL_REQUEST_CLIENT:
-                    self._flight.record(
+                if self.obs.enabled and request.client != NULL_REQUEST_CLIENT:
+                    self.obs.record(
                         "execute",
                         self.replica_id,
                         self.network.now,
@@ -767,7 +744,6 @@ class OrderingNode:
                     )
                 result = self.application.execute(request)
                 self._requests_executed += 1
-                self._obs_executed.inc()
                 self._executed_keys.add(request.key)
                 self._executed_at[request.key] = sequence
                 self._buffered.pop(request.key, None)
@@ -793,10 +769,8 @@ class OrderingNode:
         if request.client == NULL_REQUEST_CLIENT:
             # Gap-filling no-ops have no real client to answer.
             return
-        if self._tracer.enabled:
-            self._tracer.record("reply", request.key, self.replica_id, self.network.now)
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "reply",
                 self.replica_id,
                 self.network.now,
@@ -823,7 +797,6 @@ class OrderingNode:
 
     def _take_checkpoint(self, sequence: int) -> None:
         self._checkpoints_taken += 1
-        self._obs_checkpoints.inc()
         state = self.application.capture_state()
         self._checkpoint_states[sequence] = state
         state_digest = digest(state)
@@ -846,8 +819,8 @@ class OrderingNode:
         current = self._checkpoint_votes.get(replica)
         if current is None or message.sequence >= current.sequence:
             self._checkpoint_votes[replica] = message
-            if self._flight.enabled:
-                self._flight.record(
+            if self.obs.enabled:
+                self.obs.record(
                     "checkpoint-vote",
                     self.replica_id,
                     self.network.now,
@@ -892,8 +865,8 @@ class OrderingNode:
         """Adopt a stable checkpoint certificate: truncate and slide the window."""
         self.stable_checkpoint = sequence
         self._checkpoint_proof = proof
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "checkpoint-cert",
                 self.replica_id,
                 self.network.now,
@@ -937,7 +910,6 @@ class OrderingNode:
     def _truncate(self, sequence: int) -> None:
         """Garbage-collect all ordering state at or below ``sequence``."""
         self._truncations += 1
-        self._obs_truncations.inc()
         self._pre_prepares = {
             key: value for key, value in self._pre_prepares.items() if key[1] > sequence
         }
@@ -1002,8 +974,8 @@ class OrderingNode:
     # ------------------------------------------------------------------
 
     def _request_state(self, sequence: int) -> None:
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "state-request", self.replica_id, self.network.now, sequence=sequence
             )
         self._multicast(StateRequest(sequence=sequence, replica=self.replica_id))
@@ -1013,8 +985,8 @@ class OrderingNode:
             return
         if self.stable_checkpoint < message.sequence:
             return
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "state-response",
                 self.replica_id,
                 self.network.now,
@@ -1087,8 +1059,8 @@ class OrderingNode:
         ]
         if len(matching) < self.f + 1:
             return
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "state-install",
                 self.replica_id,
                 self.network.now,
@@ -1285,11 +1257,10 @@ class OrderingNode:
     def _start_view_change(self, new_view: int) -> None:
         new_view = max(new_view, self.view + 1)
         self._view_changes_started += 1
-        self._obs_view_changes.inc()
         self._view_changing = True
         self._view_change_started_at = self.network.now
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "view-change",
                 self.replica_id,
                 self.network.now,
@@ -1464,8 +1435,8 @@ class OrderingNode:
     ) -> None:
         self.view = new_view
         self._view_changing = False
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "view-installed",
                 self.replica_id,
                 self.network.now,

@@ -160,7 +160,6 @@ class PEATSReplica:
         self._pending_notifications: list[Notification] = []
         self.obs = NULL_OBS if obs is None else obs
         registry = self.obs.registry
-        self._flight = self.obs.flight
         # Flight-event timestamp source: the owning service passes its
         # transport clock; standalone replicas (unit tests, the local
         # backend) stamp 0.0 — the recorder itself never reads a clock.
@@ -173,9 +172,9 @@ class PEATSReplica:
         )
         self._obs_node = str(replica_id)
         self._obs_op_children: dict[str, Any] = {}
-        self._obs_waiters = registry.gauge(
+        registry.gauge(
             "notify_waiters", "Armed waiter registrations on this replica"
-        ).labels(node=self._obs_node)
+        ).read_from(lambda: len(self._waiters), node=self._obs_node)
         self._obs_suppressed = registry.counter(
             "notify_suppressed_total",
             "Notifications withheld because the access policy denied the waiter",
@@ -233,8 +232,8 @@ class PEATSReplica:
             self._obs_denials.labels(
                 node=self._obs_node, operation=operation, reason=decision.reason
             ).inc()
-            if self._flight.enabled:
-                self._flight.record(
+            if self.obs.enabled:
+                self.obs.record(
                     "policy-deny",
                     self.replica_id,
                     self._now(),
@@ -383,8 +382,8 @@ class PEATSReplica:
                         self._op_counter + self.txn_ttl_ops,
                         coordinator_shard,
                     )
-                    if self._flight.enabled:
-                        self._flight.record(
+                    if self.obs.enabled:
+                        self.obs.record(
                             "lock-grant",
                             self.replica_id,
                             self._now(),
@@ -485,8 +484,8 @@ class PEATSReplica:
             decided = self._txn_coord.decide(tuple(txn_id), "abort", ("expired",))
             assert decided is not None
             participants, expires_at, outcome, reason = decided
-            if self._flight.enabled:
-                self._flight.record(
+            if self.obs.enabled:
+                self.obs.record(
                     "lock-expire",
                     self.replica_id,
                     self._now(),
@@ -534,8 +533,8 @@ class PEATSReplica:
             for entry in inserted:
                 self._collect_matches(entry, request)
         self._locks.release(tuple(txn_id))
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "lock-release",
                 self.replica_id,
                 self._now(),
@@ -570,9 +569,8 @@ class PEATSReplica:
     def register_waiter(self, client: Any, waiter_id: int, template: Any, operation: str) -> bool:
         """Arm one soft-state waiter for ``client`` (idempotent refresh)."""
         accepted = self._waiters.register(client, waiter_id, template, operation)
-        self._obs_waiters.set(len(self._waiters))
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "waiter-register",
                 self.replica_id,
                 self._now(),
@@ -586,9 +584,8 @@ class PEATSReplica:
     def cancel_waiter(self, client: Any, waiter_id: int) -> bool:
         """Disarm one waiter (idempotent)."""
         existed = self._waiters.cancel(client, waiter_id)
-        self._obs_waiters.set(len(self._waiters))
-        if self._flight.enabled:
-            self._flight.record(
+        if self.obs.enabled:
+            self.obs.record(
                 "waiter-cancel",
                 self.replica_id,
                 self._now(),

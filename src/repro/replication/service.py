@@ -100,9 +100,9 @@ class ReplicatedPEATS:
             f"{prefix}replica-{index}" for index in range(self.n_replicas)
         )
         replica_faults = replica_faults or {}
-        attach = getattr(self._network, "attach_flight", None)
-        if attach is not None and self.obs.flight.enabled:
-            attach(self.obs.flight)
+        attach = getattr(self._network, "attach_obs", None)
+        if attach is not None and self.obs.enabled:
+            attach(self.obs)
         self._nodes: list[OrderingNode] = []
         for index, replica_id in enumerate(self._replica_ids):
             application = PEATSReplica(

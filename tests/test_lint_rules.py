@@ -64,6 +64,14 @@ class TestRL002GuardedTracer:
     def test_guarded_flight_calls_and_helper_body_are_clean(self):
         assert lint("RL002", "rl002_flight_good.py") == []
 
+    def test_flags_unguarded_obs_record(self):
+        violations = lint("RL002", "rl002_obs_bad.py")
+        assert [v.line for v in violations] == [10, 14]
+        assert all("obs.record()" in v.message for v in violations)
+
+    def test_guarded_obs_record_and_other_record_methods_are_clean(self):
+        assert lint("RL002", "rl002_obs_good.py") == []
+
 
 class TestRL003CodecCompleteness:
     def test_flags_unregistered_and_stale_names(self):

@@ -8,6 +8,9 @@ byte-identical with the bare one.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.api import connect
@@ -65,6 +68,29 @@ class TestRingBuffer:
         assert dump["recorded"] == 7
         assert dump["dropped"] == 3
         assert dump["capacity"] == 4
+
+    def test_concurrent_recording_keeps_seq_dense_and_ordered(self):
+        recorder = FlightRecorder(capacity=100)
+        threads = [
+            threading.Thread(
+                target=lambda: [recorder.record("msg-recv", "r0", 0.0) for _ in range(1000)]
+            )
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [event["seq"] for event in recorder.events("r0")] == list(range(7900, 8000))
+        assert recorder.statistics() == {
+            "nodes": 1, "retained": 100, "recorded": 8000, "dropped": 7900,
+        }
 
     def test_per_node_rings_are_independent(self):
         recorder = FlightRecorder(capacity=2)
