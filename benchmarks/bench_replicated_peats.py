@@ -114,3 +114,48 @@ def test_e7_message_complexity_table(benchmark):
     # the quadratic agreement traffic of the ordering protocol.
     per_op = [row["messages_per_op"] for row in rows]
     assert per_op[0] < per_op[1] < per_op[2]
+
+
+def test_e7_state_digest_is_flat_in_space_size(benchmark):
+    """Checkpoint digest cost at 1k, 10k and 100k stored tuples.
+
+    ``state_digest`` reads the space through its AdHash accumulator, so
+    its cost must not grow with the number of tuples; the from-scratch
+    recompute (``state_digest_of``, what a state transfer checks) is the
+    linear reference.
+    """
+    from time import perf_counter
+
+    from repro.replication.replica import PEATSReplica, state_digest_of
+
+    def measure():
+        replica = PEATSReplica("r0", POLICY())
+        rows = []
+        for size in (1_000, 10_000, 100_000):
+            for i in range(len(replica.space), size):
+                replica.space.out(entry("TASK", i % 16, i, "payload"))
+            samples = []
+            for _ in range(1000):
+                started = perf_counter()
+                replica.state_digest()
+                samples.append(perf_counter() - started)
+            started = perf_counter()
+            recomputed = state_digest_of(replica.capture_state())
+            recompute_s = perf_counter() - started
+            assert recomputed == replica.state_digest()
+            rows.append(
+                {
+                    "tuples": size,
+                    "state_digest_min_us": round(min(samples) * 1e6, 1),
+                    "state_digest_p50_us": round(sorted(samples)[len(samples) // 2] * 1e6, 1),
+                    "recompute_ms": round(recompute_s * 1e3, 1),
+                }
+            )
+        return rows
+
+    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    emit_table(rows, title="E7 — checkpoint state digest vs. space size")
+    # The minimum is the cost itself; medians on a shared host also carry
+    # its noise.
+    costs = [row["state_digest_min_us"] for row in rows]
+    assert max(costs) < 2 * min(costs)

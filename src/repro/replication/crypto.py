@@ -28,7 +28,14 @@ from typing import Any, Hashable
 
 from repro.errors import AuthenticationError
 
-__all__ = ["KeyStore", "MessageAuthenticator", "canonical_bytes", "digest"]
+__all__ = [
+    "ADHASH_MODULUS",
+    "KeyStore",
+    "MessageAuthenticator",
+    "adhash_term",
+    "canonical_bytes",
+    "digest",
+]
 
 
 def canonical_bytes(payload: Any) -> bytes:
@@ -58,6 +65,23 @@ def digest(payload: Any) -> str:
     voting at the client.
     """
     return hashlib.sha256(canonical_bytes(payload)).hexdigest()
+
+
+#: AdHash (Bellare & Micciancio, EUROCRYPT '97) sums element hashes mod
+#: 2^2048: a 256-bit sum falls to Wagner's generalized-birthday attack
+#: (CRYPTO 2002), which a 2048-bit one puts out of reach.
+ADHASH_MODULUS = 1 << 2048
+
+
+def adhash_term(item: Any) -> int:
+    """The AdHash term of ``item``: SHAKE-256 of its canonical bytes,
+    expanded to 2048 bits, as an integer below :data:`ADHASH_MODULUS`.
+
+    A multiset's digest is the sum of its elements' terms mod
+    :data:`ADHASH_MODULUS`, so adding or removing one element updates it
+    in O(1) whatever the size of the multiset.
+    """
+    return int.from_bytes(hashlib.shake_256(canonical_bytes(item)).digest(256), "big")
 
 
 class KeyStore:

@@ -190,13 +190,16 @@ class OrderingNode:
         # overwrites its own slot instead of growing the map.
         self._checkpoint_votes: Dict[Hashable, Checkpoint] = {}
         self._checkpoint_proof: tuple[Checkpoint, ...] = ()
-        self._checkpoint_states: Dict[int, Any] = {}
-        self._stable_state: Any = None
+        # (state, honest digest) per own checkpoint and for the stable
+        # one: the digest is computed once, when the state is captured.
+        self._checkpoint_states: Dict[int, tuple[Any, str]] = {}
+        self._stable_state: Optional[tuple[Any, str]] = None
         self._own_checkpoint: Optional[Checkpoint] = None
         # Pending state transfers: the latest response per peer;
-        # installation requires f + 1 distinct senders shipping identical
-        # state, so a single Byzantine responder cannot feed us fabricated
-        # state (and cannot grow this map beyond one slot).
+        # installation requires f + 1 distinct senders vouching for the
+        # same certified digest, so a single Byzantine responder cannot
+        # feed us fabricated state (and cannot grow this map beyond one
+        # slot).
         self._state_responses: Dict[Hashable, StateResponse] = {}
         self._state_transfers = 0
         # Set when our own checkpoint digest contradicted a stable
@@ -797,16 +800,15 @@ class OrderingNode:
 
     def _take_checkpoint(self, sequence: int) -> None:
         self._checkpoints_taken += 1
-        state = self.application.capture_state()
-        self._checkpoint_states[sequence] = state
-        state_digest = digest(state)
+        state, state_digest = self.application.checkpoint()
+        self._checkpoint_states[sequence] = (state, state_digest)
         if self.fault_mode is ReplicaFaultMode.DIVERGENT:
             # Deterministically corrupted digest: the vote is internally
             # consistent (the same wrong digest every time), so two such
             # replicas split the quorum instead of merely being outvoted —
             # the certificate starves and the log window jams, which is
             # exactly how PR 9's nondeterministic-digest bug manifested.
-            state_digest = digest((state, "divergent-checkpoint"))
+            state_digest = digest((state_digest, "divergent-checkpoint"))
         message = Checkpoint(
             sequence=sequence, state_digest=state_digest, replica=self.replica_id
         )
@@ -880,7 +882,7 @@ class OrderingNode:
         if (
             own_state is not None
             and certified_digest is not None
-            and digest(own_state) != certified_digest
+            and own_state[1] != certified_digest
         ):
             # Our execution history contradicts the certified majority —
             # possible only outside the protocol's trust envelope (see the
@@ -993,12 +995,13 @@ class OrderingNode:
                 sequence=self.stable_checkpoint,
                 requester=str(sender),
             )
+        state, state_digest = self._stable_state
         self._send(
             sender,
             StateResponse(
                 sequence=self.stable_checkpoint,
-                state_digest=digest(self._stable_state),
-                state=self._stable_state,
+                state_digest=state_digest,
+                state=state,
                 proof=self._checkpoint_proof,
                 replica=self.replica_id,
                 prepared=self._in_window_progress(),
@@ -1041,15 +1044,16 @@ class OrderingNode:
             return
         if message.sequence <= self.last_executed and message.sequence != self._resync_below:
             return
-        if digest(message.state) != message.state_digest:
-            return
         certificate = self._checkpoint_certificate(message.proof)
         if certificate != (message.sequence, message.state_digest):
             return
         # The proof's inner Checkpoint votes are not origin-authenticated
         # (per-link MACs cannot be verified by a third party), so a lone
         # Byzantine responder could fabricate one.  Require f + 1 distinct
-        # senders shipping byte-identical state: at least one is correct.
+        # senders vouching for the same digest: at least one is correct.
+        # Only the state about to be installed is hashed: install_state
+        # checks it against that digest (entries in id order), so what is
+        # installed is byte for byte the state the correct sender holds.
         self._state_responses[sender] = message
         matching = [
             response
@@ -1058,6 +1062,15 @@ class OrderingNode:
             and response.state_digest == message.state_digest
         ]
         if len(matching) < self.f + 1:
+            return
+        try:
+            installed = self.application.install_state(message.state, message.state_digest)
+        except (AttributeError, TypeError, ValueError):
+            installed = False  # not a captured state at all
+        if not installed:
+            # This sender's state is not the one it vouched for: a faulty
+            # sender.  Forget its response and wait for another.
+            del self._state_responses[sender]
             return
         if self.obs.enabled:
             self.obs.record(
@@ -1068,15 +1081,14 @@ class OrderingNode:
                 digest=message.state_digest,
                 responders=len(matching),
             )
-        self.application.install_state(message.state)
         self.last_executed = message.sequence
         self.next_sequence = max(self.next_sequence, message.sequence + 1)
         self._resync_below = None
         if message.sequence >= self.stable_checkpoint:
             self.stable_checkpoint = message.sequence
             self._checkpoint_proof = message.proof
-            self._stable_state = message.state
-            self._checkpoint_states[message.sequence] = message.state
+            self._stable_state = (message.state, message.state_digest)
+            self._checkpoint_states[message.sequence] = self._stable_state
         self._state_transfers += 1
         self._truncate(message.sequence)
         self._adopt_transferred_progress(message.sequence, matching)

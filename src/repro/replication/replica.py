@@ -28,7 +28,7 @@ its own per-request bookkeeping at checkpoints.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.notify import Notification, WaiterTable
 from repro.obs import NULL_OBS
@@ -36,6 +36,7 @@ from repro.peo.base import DENIED
 from repro.policy.invocation import Invocation
 from repro.policy.monitor import ReferenceMonitor
 from repro.policy.policy import AccessPolicy
+from repro.replication.crypto import ADHASH_MODULUS, adhash_term, digest
 from repro.replication.messages import (
     ClientRequest,
     TxnAck,
@@ -48,7 +49,14 @@ from repro.tuples import Entry, Template, is_defined
 from repro.txn.legs import apply_legs, leg_names, resolve_legs
 from repro.txn.state import CoordinatorTable, LockTable, ParticipantTable
 
-__all__ = ["DENIED", "TXN_LOCKED", "PEATSReplica", "ExecutionResult"]
+__all__ = [
+    "DENIED",
+    "TXN_LOCKED",
+    "DigestedTupleSpace",
+    "ExecutionResult",
+    "PEATSReplica",
+    "state_digest_of",
+]
 
 #: Reply status of an operation refused because a prepared cross-shard
 #: transaction holds a conflicting name lock.  The payload carries the
@@ -56,6 +64,108 @@ __all__ = ["DENIED", "TXN_LOCKED", "PEATSReplica", "ExecutionResult"]
 #: needs to retry — or, once ``expired`` is true, to force-resolve the
 #: abandoned transaction at its coordinator group.
 TXN_LOCKED = "TXN-LOCKED"
+
+
+class DigestedTupleSpace(AugmentedTupleSpace):
+    """The replica's tuple space: an augmented space that keeps an AdHash
+    accumulator (:func:`~repro.replication.crypto.adhash_term`) over its
+    stored ``(id, entry)`` pairs.
+
+    ``id`` is the space's insertion counter.  Matching picks the oldest
+    insertion first, so insertion order is part of the replicated state,
+    and hashing the id puts it into the digest: the same multiset
+    inserted in another order digests differently.  Every insert (``out``,
+    the insert arm of ``cas``, a transaction's ``out`` legs) goes through
+    :meth:`out` and every removal through :meth:`_remove`, so the
+    accumulator costs O(1) per mutation and reading it costs nothing.
+
+    ``pairs`` (ascending ids), ``next_id`` and ``accumulator`` (the sum
+    of the pairs' terms) rebuild a captured space with its ids exactly as
+    they were, so a replica that installed a checkpoint keeps assigning
+    (and digesting) the ids its peers do.
+    """
+
+    def __init__(
+        self,
+        pairs: Iterable[tuple[int, Entry]] = (),
+        next_id: int = 0,
+        accumulator: int = 0,
+    ) -> None:
+        super().__init__()
+        for entry_id, entry in pairs:
+            self._next_id = entry_id
+            super().out(entry)
+        self._next_id = next_id
+        self._accumulator = accumulator
+
+    def out(self, entry: Entry) -> bool:
+        entry_id = self._next_id
+        inserted = super().out(entry)
+        self._accumulator = (self._accumulator + adhash_term((entry_id, entry))) % ADHASH_MODULUS
+        return inserted
+
+    def _remove(self, entry_id: int, stored: Entry) -> None:
+        super()._remove(entry_id, stored)
+        self._accumulator = (self._accumulator - adhash_term((entry_id, stored))) % ADHASH_MODULUS
+
+    def clear(self) -> None:
+        super().clear()
+        self._accumulator = 0
+
+    def by_id(self) -> dict[int, Entry]:
+        """A copy of the stored entries keyed by id, oldest first (copying
+        the dict is several times cheaper than building a tuple of pairs)."""
+        return self._entries.copy()
+
+    @property
+    def next_id(self) -> int:
+        """The id the next insert will get."""
+        return self._next_id
+
+    @property
+    def accumulator(self) -> int:
+        """The sum of the stored pairs' AdHash terms."""
+        return self._accumulator
+
+
+def _digest_of(accumulator: int, tail: tuple) -> str:
+    """The replica state digest: SHA-256 of the space's accumulator
+    followed by ``tail`` = ``(next_id, replies, txn)``."""
+    return digest((accumulator,) + tail)
+
+
+def _accumulator_of(entries: dict[int, Entry]) -> int:
+    """The AdHash accumulator of a captured ``entries`` dict.
+
+    Raises :class:`ValueError` unless the ids ascend.  A space holds its
+    entries in id order and matches oldest first, but the sum does not
+    depend on the order it adds terms in: without this check, the right
+    pairs in the wrong order would digest like the real state and still
+    install a space that answers differently.
+    """
+    if type(entries) is not dict:
+        raise TypeError(f"entries must be a dict, not {type(entries).__name__}")
+    accumulator = 0
+    previous = -1
+    for pair in entries.items():
+        if not pair[0] > previous:
+            raise ValueError(f"entry id {pair[0]!r} does not ascend")
+        previous = pair[0]
+        accumulator += adhash_term(pair)
+    return accumulator % ADHASH_MODULUS
+
+
+def state_digest_of(state: tuple) -> str:
+    """The :meth:`PEATSReplica.state_digest` of a replica holding ``state``
+    (a :meth:`PEATSReplica.capture_state` value), recomputed from scratch.
+
+    O(size of the space): for checking a transferred state, not for
+    checkpointing.  Raises :class:`TypeError` or :class:`ValueError` for
+    something that is not a captured state, entries out of id order
+    included.
+    """
+    entries, next_id, replies, txn = state
+    return _digest_of(_accumulator_of(entries), (next_id, replies, txn))
 
 
 class ExecutionResult:
@@ -138,7 +248,7 @@ class PEATSReplica:
         self.f = f
         self.txn_ttl_ops = self.TXN_TTL_OPS if txn_ttl_ops is None else txn_ttl_ops
         self._policy = policy
-        self._space = AugmentedTupleSpace()
+        self._space = DigestedTupleSpace()
         self._monitor = ReferenceMonitor(policy)
         # Transaction state (repro.txn): all three tables are part of the
         # replicated state machine — mutated only by ordered requests and
@@ -359,8 +469,6 @@ class PEATSReplica:
         final: the recorded vote is what a later ``txn_apply`` is checked
         against, so a lying replica cannot retro-actively "have voted yes".
         """
-        from repro.replication.crypto import digest
-
         record = self._txn_part.get(tuple(txn_id))
         if record is None:
             names = tuple(name for leg in legs for name in leg_names(leg))
@@ -620,8 +728,6 @@ class PEATSReplica:
         """
         if not isinstance(entry, Entry) or not len(self._waiters):
             return
-        from repro.replication.crypto import digest
-
         entry_digest: Optional[str] = None
         for waiter in self._waiters.matching(entry):
             probe = "inp" if waiter.operation == "in" else "rdp"
@@ -658,31 +764,55 @@ class PEATSReplica:
     # ------------------------------------------------------------------
 
     def capture_state(self) -> tuple:
-        """A picklable snapshot of the replica state (space + reply cache).
+        """A picklable snapshot of the replica state:
+        ``(entries, next_id, replies, txn)``.
 
-        Correct replicas execute the same request prefix, so their
-        insertion orders — and hence these snapshots — are byte-identical;
-        that is the property the checkpoint certificates and the state
-        transfer rely on.  Tuples are captured in *insertion* order, not
-        re-sorted: template matching picks the oldest insertion first, so
-        a replica that installs this state must reproduce the order, or
-        its future ``rdp``/``inp`` answers would diverge from replicas
-        that executed normally.
+        ``entries`` maps each stored entry's id to the entry, in insertion
+        order, and ``next_id`` is the space's insertion counter;
+        ``replies`` is the reply cache and ``txn`` the transaction tables
+        with their expiry clock.
+        Correct replicas execute the same request prefix, so these
+        snapshots are byte-identical; that is the property the checkpoint
+        certificates and the state transfer rely on.  The entries are not
+        re-sorted and keep their ids: matching picks the oldest insertion
+        first, so a replica that installs this state must reproduce the
+        order, or its future ``rdp``/``inp`` answers would diverge.
         """
-        entries = tuple(self._space.snapshot())
-        replies = tuple(sorted(self._last_reply.items(), key=repr))
+        return (self._space.by_id(),) + self._tail()
+
+    def _tail(self) -> tuple:
+        """The state after the entries: ``(next_id, replies, txn)``."""
+        # Sorted by client (one entry per client), not by the whole cached
+        # reply: repr of every payload would cost more than the digest.
+        replies = tuple(sorted(self._last_reply.items(), key=lambda item: repr(item[0])))
         txn = (
             self._op_counter,
             self._locks.capture(),
             self._txn_coord.capture(),
             self._txn_part.capture(),
         )
-        return (entries, replies, txn)
+        return (self._space.next_id, replies, txn)
 
-    def install_state(self, state: tuple) -> None:
-        """Replace the replica state with a transferred checkpoint snapshot."""
-        entries, replies, txn = state
-        self._space = AugmentedTupleSpace(entries)
+    def install_state(self, state: tuple, state_digest: str) -> bool:
+        """Replace the replica state with a transferred checkpoint snapshot,
+        if it is the state ``state_digest`` names.
+
+        Hashes the shipped entries once, checks the result against
+        ``state_digest`` and returns ``False``, changing nothing, if it
+        differs.  A ``state`` that is not a captured state at all raises
+        :class:`TypeError` or :class:`ValueError` (also for entries out of
+        id order), again before anything changes.
+
+        The entries get back the ids they had on the replicas that
+        captured it, and the space resumes counting at their ``next_id``,
+        so this replica's digest and matching order stay those of its
+        peers.
+        """
+        entries, next_id, replies, txn = state
+        accumulator = _accumulator_of(entries)
+        if _digest_of(accumulator, (next_id, replies, txn)) != state_digest:
+            return False
+        self._space = DigestedTupleSpace(entries.items(), next_id, accumulator)
         self._last_reply = {client: tuple(cached) for client, cached in replies}
         # Transaction state travels with checkpoints: a recovering replica
         # resumes with the same locks, votes and decisions — and the same
@@ -692,19 +822,30 @@ class PEATSReplica:
         self._locks = LockTable(locks)
         self._txn_coord = CoordinatorTable(coord)
         self._txn_part = ParticipantTable(part)
+        return True
 
     def state_digest(self) -> str:
-        """Digest of :meth:`capture_state` (checkpoint votes, reply safety)."""
-        from repro.replication.crypto import digest
+        """Digest of the replica state (checkpoint votes, reply safety).
 
-        return digest(self.capture_state())
+        SHA-256 of ``(accumulator, next_id, replies, txn)``: the space
+        enters through its AdHash accumulator, so the cost does not grow
+        with the number of tuples.  Equals
+        ``state_digest_of(self.capture_state())``.
+        """
+        return _digest_of(self._space.accumulator, self._tail())
+
+    def checkpoint(self) -> tuple[tuple, str]:
+        """:meth:`capture_state` and its :meth:`state_digest`, from one
+        read of the reply cache and transaction tables."""
+        state = self.capture_state()
+        return state, _digest_of(self._space.accumulator, state[1:])
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     @property
-    def space(self) -> AugmentedTupleSpace:
+    def space(self) -> DigestedTupleSpace:
         return self._space
 
     @property
@@ -712,4 +853,4 @@ class PEATSReplica:
         return self._monitor
 
     def __repr__(self) -> str:
-        return f"PEATSReplica(id={self.replica_id!r}, tuples={len(self._space.snapshot())})"
+        return f"PEATSReplica(id={self.replica_id!r}, tuples={len(self._space)})"

@@ -35,12 +35,15 @@ class TupleSpace(TupleSpaceInterface):
     """
 
     def __init__(self, initial: Iterable[Entry] = ()):  # noqa: D401
-        # Entries in insertion order, keyed by a monotonically increasing id
-        # so removal does not disturb ordering of the remaining entries.
-        self._entries: "collections.OrderedDict[int, Entry]" = collections.OrderedDict()
+        # Entries in insertion order (a plain dict keeps it), keyed by a
+        # monotonically increasing id so removal does not disturb ordering
+        # of the remaining entries.
+        self._entries: dict[int, Entry] = {}
         self._next_id = 0
-        # Index: first field value (if hashable/defined) -> set of entry ids.
-        self._name_index: dict[Any, set[int]] = collections.defaultdict(set)
+        # Index: first field value (if hashable/defined) -> the ids of the
+        # entries with that name, as an insertion-ordered dict (values
+        # unused): ids only grow, so a bucket iterates oldest-first.
+        self._name_index: dict[Any, dict[int, None]] = collections.defaultdict(dict)
         # Blocking rd/in are implemented with a condition variable that is
         # notified on every insertion.  The plain space may be used from a
         # single thread, but keeping the condition here lets the
@@ -64,7 +67,7 @@ class TupleSpace(TupleSpaceInterface):
             entry_id = self._next_id
             self._next_id += 1
             self._entries[entry_id] = entry
-            self._name_index[entry.fields[0]].add(entry_id)
+            self._name_index[entry.fields[0]][entry_id] = None
             self._condition.notify_all()
         for listener in tuple(self._insert_listeners):
             listener(entry)
@@ -106,24 +109,25 @@ class TupleSpace(TupleSpaceInterface):
         """Entry ids to consider for ``template``, cheapest index first."""
         first = template.fields[0]
         if is_defined(first):
-            ids = self._name_index.get(first)
-            if not ids:
-                return ()
-            # Preserve insertion order: LINDA does not mandate any order but a
+            # Oldest first: LINDA does not mandate any order but a
             # deterministic oldest-first choice makes executions reproducible.
-            return sorted(ids)
-        return list(self._entries.keys())
+            return self._name_index.get(first, ())
+        return self._entries
 
     def _find(self, template: Template) -> Optional[tuple[int, Entry]]:
+        # Callers hold ``_condition``: the candidates are live containers.
         pattern = self._as_template(template)
         for entry_id in self._candidate_ids(pattern):
-            stored = self._entries.get(entry_id)
-            if stored is not None and matches(stored, pattern):
+            stored = self._entries[entry_id]
+            if matches(stored, pattern):
                 return entry_id, stored
         return None
 
     def rdp(self, template: Template) -> Optional[Entry]:
-        found = self._find(template)
+        # Under the condition: the scan walks the live name bucket, which a
+        # concurrent (blocking) removal would otherwise resize mid-loop.
+        with self._condition:
+            found = self._find(template)
         return found[1] if found else None
 
     def inp(self, template: Template) -> Optional[Entry]:
@@ -154,7 +158,7 @@ class TupleSpace(TupleSpaceInterface):
         del self._entries[entry_id]
         bucket = self._name_index.get(stored.fields[0])
         if bucket is not None:
-            bucket.discard(entry_id)
+            bucket.pop(entry_id, None)
             if not bucket:
                 del self._name_index[stored.fields[0]]
 
@@ -204,7 +208,8 @@ class TupleSpace(TupleSpaceInterface):
         """
         if not isinstance(item, (Entry, Template)):
             return False
-        return self._find(item) is not None
+        with self._condition:
+            return self._find(item) is not None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(size={len(self._entries)})"

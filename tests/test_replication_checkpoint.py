@@ -16,7 +16,7 @@ from repro.replication.crypto import KeyStore, MessageAuthenticator
 from repro.replication.network import NetworkConfig, SimulatedNetwork
 from repro.replication.messages import ClientRequest, authenticate_request
 from repro.replication.pbft import OrderingNode, ReplicaFaultMode
-from repro.replication.replica import PEATSReplica
+from repro.replication.replica import PEATSReplica, state_digest_of
 from repro.sim import (
     CrashWindow,
     PartitionWindow,
@@ -71,6 +71,18 @@ def request_from(client, request_id):
         arguments=(entry("A", client, request_id),),
     )
     return authenticate_request(request, _AUTH, _REPLICAS)
+
+
+def send_request(network, nodes, client, request_id, operation, arguments):
+    request = authenticate_request(
+        ClientRequest(
+            client=client, request_id=request_id, operation=operation, arguments=arguments
+        ),
+        _AUTH,
+        _REPLICAS,
+    )
+    network.broadcast(client, [n.replica_id for n in nodes], request)
+    network.run()
 
 
 class TestBatching:
@@ -306,6 +318,92 @@ class TestCheckpointRecovery:
         assert lagging.last_executed == 10
         assert len({node.application.state_digest() for node in nodes}) == 1
 
+    @staticmethod
+    def _cluster_with_id_gaps():
+        # Interleaved out/inp leaves gaps in the space's insertion ids; the
+        # live replicas execute 18 requests (stable checkpoint 16) while r3
+        # is down.  Returns the cluster and the next free request id.
+        network, nodes, replies = make_cluster(
+            checkpoint_interval=8, max_batch_size=1, faults={3: ReplicaFaultMode.CRASHED}
+        )
+        operations = []
+        for i in range(6):
+            operations.append(("out", (entry("A", "client", i),)))
+            operations.append(("out", (entry("A", "client", 100 + i),)))
+            operations.append(("inp", (template("A", ANY, 100 + i),)))
+        for request_id, (operation, arguments) in enumerate(operations):
+            send_request(network, nodes, "client", request_id, operation, arguments)
+        assert all(node.last_executed == 18 for node in nodes[:3])
+        assert all(node.stable_checkpoint == 16 for node in nodes[:3])
+        nodes[3].fault_mode = ReplicaFaultMode.CORRECT
+        return network, nodes, replies, len(operations)
+
+    @staticmethod
+    def _assert_replicas_agree(network, nodes, replies, next_id):
+        # Same digest, same id layout, and further reads and removals
+        # answer identically on every replica.
+        assert len({node.application.state_digest() for node in nodes}) == 1
+        layouts = {tuple(node.application.space.by_id()) for node in nodes}
+        assert len(layouts) == 1
+        (ids,) = layouts
+        assert ids != tuple(range(ids[0], ids[0] + len(ids)))  # the ids have gaps
+        replies.clear()
+        for operation in ("rdp", "inp", "inp", "rdp"):
+            send_request(network, nodes, "client", next_id, operation, (template("A", ANY, ANY),))
+            next_id += 1
+        results = {}
+        for sender, reply in replies:
+            results.setdefault(reply.request_key, set()).add(reply.result)
+        assert len(results) == 4
+        assert all(len(answers) == 1 for answers in results.values())
+        assert len({node.application.state_digest() for node in nodes}) == 1
+
+    def test_state_transfer_keeps_ids_across_removals(self):
+        # A lagging replica that installs the checkpoint must get the same
+        # ids and the same next id, or its digest (which covers the ids)
+        # and its oldest-first matching would part from its peers'.
+        network, nodes, replies, next_id = self._cluster_with_id_gaps()
+        lagging = nodes[3]
+        for node in nodes[:3]:
+            network.send(node.replica_id, lagging.replica_id, node._own_checkpoint)
+        network.run()
+        assert lagging.statistics["state_transfers"] == 1
+        assert lagging.last_executed == 18
+        self._assert_replicas_agree(network, nodes, replies, next_id)
+
+    def test_reordered_entries_from_one_responder_are_not_installed(self):
+        # The digest sums the (id, entry) terms, so the honest pairs in
+        # another order carry the honest digest and certificate.  If such
+        # a response completed the f + 1 quorum and were installed, the
+        # lagging replica would match newest-first while digesting like
+        # its peers; it must be dropped instead.
+        from repro.replication.messages import StateResponse
+
+        network, nodes, replies, next_id = self._cluster_with_id_gaps()
+        lagging = nodes[3]
+
+        def response(node, state=None):
+            honest_state, state_digest = node._stable_state
+            return StateResponse(
+                sequence=node.stable_checkpoint,
+                state_digest=state_digest,
+                state=honest_state if state is None else state,
+                proof=node._checkpoint_proof,
+                replica=node.replica_id,
+                prepared=node._in_window_progress(),
+            )
+
+        honest_state = nodes[2]._stable_state[0]
+        reordered = (dict(reversed(honest_state[0].items())),) + honest_state[1:]
+        lagging.on_message("r0", response(nodes[0]))
+        lagging.on_message("r2", response(nodes[2], reordered))
+        assert lagging.statistics["state_transfers"] == 0
+        lagging.on_message("r1", response(nodes[1]))
+        network.run()
+        assert lagging.statistics["state_transfers"] == 1
+        assert lagging.last_executed == 18
+        self._assert_replicas_agree(network, nodes, replies, next_id)
+
     def test_state_response_with_wrong_proof_is_rejected(self):
         network, nodes, _ = make_cluster(checkpoint_interval=2)
         for i in range(3):
@@ -314,12 +412,11 @@ class TestCheckpointRecovery:
             network.run()
         node = nodes[1]
         from repro.replication.messages import StateResponse
-        from repro.replication.crypto import digest
 
-        bogus_state = ((), ())
+        bogus_state = ({}, 0, (), (0, (), (), ()))
         forged = StateResponse(
             sequence=50,
-            state_digest=digest(bogus_state),
+            state_digest=state_digest_of(bogus_state),
             state=bogus_state,
             proof=(),  # no certificate
             replica="r2",
@@ -337,10 +434,9 @@ class TestCheckpointRecovery:
         network, nodes, _ = make_cluster(checkpoint_interval=2)
         node = nodes[1]
         from repro.replication.messages import Checkpoint, StateResponse
-        from repro.replication.crypto import digest
 
-        bogus_state = ((), (), (0, (), (), ()))
-        bogus_digest = digest(bogus_state)
+        bogus_state = ({}, 0, (), (0, (), (), ()))
+        bogus_digest = state_digest_of(bogus_state)
         forged_proof = tuple(
             Checkpoint(sequence=50, state_digest=bogus_digest, replica=replica)
             for replica in ("r0", "r2", "r3")

@@ -122,6 +122,40 @@ class TestConcurrency:
             thread.join()
         assert len(space.snapshot()) == 80
 
+    def test_rdp_scan_survives_a_concurrent_blocking_in(self):
+        # rdp holds the wrapper's lock, a blocking in_ only the inner
+        # space's condition; the removals in_ makes must not break an rdp
+        # (or a membership test) walking the same name bucket.
+        space = LinearizableTupleSpace()
+        for i in range(20_000):
+            space.out(entry("A", i))
+        missing = template("A", -1)  # matches nothing: every scan walks the bucket
+        errors = []
+        taken = threading.Event()
+
+        def reader():
+            try:
+                while not taken.is_set():
+                    assert space.rdp(missing) is None
+                    assert missing not in space._inner
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def taker():
+            try:
+                for _ in range(4_000):
+                    space.in_(template("A", ANY))
+            finally:
+                taken.set()
+
+        threads = [threading.Thread(target=reader), threading.Thread(target=taker)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert len(space.snapshot()) == 16_000
+
 
 class TestProcessBoundView:
     def test_bound_view_attributes_operations(self, space, recorder):
